@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -535,16 +535,32 @@ def save_checkpoint(params: dict[str, Tensor | np.ndarray], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Parameters saved by `save_checkpoint`. A file that is not one whole
+    checkpoint (bad magic, unreadable index, blob shorter or longer than the
+    index describes) raises ConfigError."""
     with open(path, "rb") as f:
-        magic = f.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        index = json.loads(f.read(meta_len).decode())
-        blob = np.frombuffer(f.read(), dtype="<f4")
-    out = {}
-    for name, rec in index.items():
-        shape = tuple(rec["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        out[name] = blob[rec["offset"] : rec["offset"] + n].reshape(shape).copy()
-    return out
+        raw = f.read()
+    if not raw.startswith(CKPT_MAGIC):
+        raise ConfigError(f"{path}: not a checkpoint file "
+                          f"(bad magic {raw[:len(CKPT_MAGIC)]!r})")
+    head = len(CKPT_MAGIC) + 8
+    if len(raw) < head:
+        raise ConfigError(f"{path}: truncated checkpoint header")
+    (meta_len,) = struct.unpack_from("<Q", raw, len(CKPT_MAGIC))
+    try:
+        index = json.loads(raw[head : head + meta_len].decode())
+        spans = {name: (int(rec["offset"]), tuple(int(d) for d in rec["shape"]))
+                 for name, rec in index.items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint index ({exc})") from exc
+    body = raw[head + meta_len :]
+    sizes = {name: int(np.prod(shape)) for name, (_, shape) in spans.items()}
+    expected = 4 * sum(sizes.values())
+    if len(body) != expected or any(
+            off < 0 or min(shape, default=0) < 0 or 4 * (off + sizes[name]) > expected
+            for name, (off, shape) in spans.items()):
+        raise ConfigError(f"{path}: truncated or corrupt checkpoint "
+                          f"({len(body)} data bytes, the index describes {expected})")
+    blob = np.frombuffer(body, dtype="<f4")
+    return {name: blob[off : off + sizes[name]].reshape(shape).copy()
+            for name, (off, shape) in spans.items()}

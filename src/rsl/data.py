@@ -203,6 +203,8 @@ class DatasetStore:
         self.forcings = tuple(v["forcings"])
         self._years = _year_chunks(self.start, self.n_steps)
         self._cache: dict[str, np.ndarray] = {}
+        # var -> (i0, n) -> (mean, std) of the window, see window_moments
+        self._moments: dict[str, dict[tuple[int, int], tuple]] = {}
         self._const: np.ndarray | None = None
 
     # -- construction
@@ -269,6 +271,7 @@ class DatasetStore:
         d.mkdir(exist_ok=True)
         np.ascontiguousarray(arr, dtype="<f4").tofile(d / f"{year}.bin")
         self._cache.pop(var, None)
+        self._moments.pop(var, None)
 
     def write_constants(self, fields: dict[str, np.ndarray]) -> None:
         arr = np.stack([fields[name] for name in self.constants])
@@ -289,6 +292,24 @@ class DatasetStore:
 
     def read_range(self, var: str, i0: int, i1: int) -> np.ndarray:
         return self._load_var(var)[i0:i1]
+
+    def window_moments(self, var: str, i0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-gridpoint float64 temporal mean and population std of `var`
+        over steps [i0, i0 + n), streamed in 4096-step chunks.
+
+        Each window is reduced once per store; the caller gets its own copies."""
+        memo = self._moments.setdefault(var, {})
+        if (i0, n) not in memo:
+            s = np.zeros(self.grid.shape)
+            s2 = np.zeros(self.grid.shape)
+            for c0 in range(i0, i0 + n, 4096):
+                chunk = self.read_range(var, c0, min(c0 + 4096, i0 + n)).astype(np.float64)
+                s += chunk.sum(axis=0)
+                s2 += (chunk * chunk).sum(axis=0)
+            mu = s / n
+            memo[i0, n] = (mu, np.sqrt(np.maximum(s2 / n - mu * mu, 0.0)))
+        mu, sd = memo[i0, n]
+        return mu.copy(), sd.copy()
 
     def read_constants(self) -> np.ndarray:
         if self._const is None:

@@ -140,21 +140,11 @@ def _json_num(x: float):
 
 def _reference_stats(store: DatasetStore, variables, t0: datetime,
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-pass-free streaming mean/std of the reference over the window."""
+    """Temporal mean/std fields (K, H, W) of the reference over the window."""
     i0 = store.time_index(t0)
     if i0 + n_steps > store.n_steps:
         raise ConfigError("reference store does not cover the rollout period")
-    means, stds = [], []
-    for v in variables:
-        s = np.zeros(store.grid.shape)
-        s2 = np.zeros(store.grid.shape)
-        for c0 in range(i0, i0 + n_steps, 4096):
-            chunk = store.read_range(v, c0, min(c0 + 4096, i0 + n_steps)).astype(np.float64)
-            s += chunk.sum(axis=0)
-            s2 += (chunk * chunk).sum(axis=0)
-        mu = s / n_steps
-        means.append(mu)
-        stds.append(np.sqrt(np.maximum(s2 / n_steps - mu * mu, 0.0)))
+    means, stds = zip(*(store.window_moments(v, i0, n_steps) for v in variables))
     return np.stack(means), np.stack(stds)
 
 
@@ -182,14 +172,14 @@ def stability_score(rollout_stats: RolloutStats, reference: DatasetStore,
                            n_steps=rollout_stats.count,
                            meta={"reason": "non-finite rollout",
                                  "first_nonfinite_step": rollout_stats.first_nonfinite_step})
-    ref_mean, ref_std = _reference_stats(reference, rollout_stats.variables, t0, n_steps)
+    ref_mean, ref_std = _reference_stats(reference, subset, t0, n_steps)
     pred = rollout_stats.mean if mode == "mean" else rollout_stats.std
     ref = ref_mean if mode == "mean" else ref_std
     scores = []
-    for v in subset:
+    for j, v in enumerate(subset):
         k = rollout_stats.variables.index(v)
         sd = norm.values[v][1]
-        diff = pred[k] - ref[k]
+        diff = pred[k] - ref[j]
         nrm = _area_rmse(diff / sd, weights)
         per_var[v] = {"norm": nrm, "phys": _area_rmse(diff, weights)}
         scores.append(nrm)

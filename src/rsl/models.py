@@ -134,6 +134,10 @@ class ModelState:
         if set(blobs) != set(self.params):
             raise ConfigError("checkpoint parameter names do not match this model")
         for k, arr in blobs.items():
+            if arr.shape != self.params[k].shape:
+                raise ConfigError(f"checkpoint parameter {k!r} has shape {arr.shape}, "
+                                  f"this model needs {self.params[k].shape}")
+        for k, arr in blobs.items():
             self.params[k].data = arr.astype(self.dtype)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rsl import autodiff as ad
-from rsl.errors import ShapeError
+from rsl.errors import ConfigError, ShapeError
 
 R = np.random.default_rng(99)
 
@@ -236,5 +236,15 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"not-a-checkpoint")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="bad magic"):
         ad.load_checkpoint(p)
+
+
+def test_checkpoint_rejects_truncated_or_padded_blob(tmp_path):
+    p = tmp_path / "m.ckpt"
+    ad.save_checkpoint({"w": ad.tensor(np.ones((4, 3), np.float32))}, p)
+    whole = p.read_bytes()
+    for bad in (whole[:-4], whole + b"\0\0\0\0", whole[:-2]):
+        p.write_bytes(bad)
+        with pytest.raises(ConfigError, match="truncated or corrupt"):
+            ad.load_checkpoint(p)

@@ -185,6 +185,59 @@ def test_rollout_blowup_contract(cli_run, cli_store, tmp_path):
     assert score["scores"]["mean"]["aggregate"] == "inf"
 
 
+def test_rollout_truncated_checkpoint_exit2(cli_run, cli_store, tmp_path, capsys):
+    import shutil
+    cut = tmp_path / "cut_run"
+    shutil.copytree(cli_run, cut)
+    ckpt = cut / "best.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    assert run_cli("rollout", "--run", str(cut), "--reference", str(cli_store),
+                   "--steps", "8") == 2
+    assert "truncated or corrupt checkpoint" in capsys.readouterr().err
+    ckpt.write_bytes(b"RSL-CKPT-1\n\x05")
+    assert run_cli("rollout", "--run", str(cut), "--reference", str(cli_store),
+                   "--steps", "8") == 2
+    assert "truncated checkpoint header" in capsys.readouterr().err
+
+
+def test_rollout_checkpoint_of_another_shape_exit2(cli_run, cli_store, tmp_path, capsys):
+    import shutil
+    from rsl import autodiff as ad
+    other = tmp_path / "other_run"
+    shutil.copytree(cli_run, other)
+    params = ad.load_checkpoint(other / "best.ckpt")
+    params["enc.w"] = np.zeros(params["enc.w"].shape[:-1] + (16,), np.float32)
+    ad.save_checkpoint(params, other / "best.ckpt")
+    assert run_cli("rollout", "--run", str(other), "--reference", str(cli_store),
+                   "--steps", "8") == 2
+    assert "'enc.w' has shape" in capsys.readouterr().err
+
+
+def test_score_json_survives_a_failed_write(cli_run, cli_store, tmp_path, monkeypatch):
+    import shutil
+    import types
+    from rsl import cli
+    run = tmp_path / "atomic_run"
+    shutil.copytree(cli_run, run)
+    args = ("rollout", "--run", str(run), "--reference", str(cli_store),
+            "--start", "2007-06-01T00:00:00", "--steps", "40")
+    assert run_cli(*args) == 0
+    before = (run / "score.json").read_bytes()
+    names = sorted(p.name for p in run.iterdir())
+
+    def dump_half_then_fail(doc, f, **kw):
+        f.write(json.dumps(doc, **kw)[:200])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(
+        load=json.load, dump=dump_half_then_fail))
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(*args[:-1], "80")
+    assert (run / "score.json").read_bytes() == before
+    assert json.loads(before)["steps"] == 40
+    assert sorted(p.name for p in run.iterdir()) == names
+
+
 # ----------------------------------------------------------------- sweep
 
 @pytest.fixture(scope="module")

@@ -124,6 +124,16 @@ def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
     assert np.array_equal(before, after)
 
 
+def test_checkpoint_of_another_shape_rejected(tmp_path):
+    small = build_model(toy_spec("fcn"), GRID, seed=3)
+    small.save(tmp_path / "m.ckpt")
+    big = build_model(toy_spec("fcn", hidden_dim=32), GRID, seed=3)
+    kept = {k: p.data.copy() for k, p in big.params.items()}
+    with pytest.raises(ConfigError, match="has shape"):
+        big.load(tmp_path / "m.ckpt")
+    assert all(np.array_equal(big.params[k].data, v) for k, v in kept.items())
+
+
 def test_validate_rejects_bad_configs():
     with pytest.raises(ConfigError):
         validate_spec(toy_spec("climax", hidden_dim=18), GRID)   # 18 % 8 != 0

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import datetime
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsl import evaluate as E
-from rsl.data import compute_normalization, variable_set
+from rsl.data import DatasetStore, compute_normalization, variable_set
 from rsl.grid import area_weights, make_grid
 from rsl.models import ModelState, build_model, model_spec
 
@@ -278,6 +279,152 @@ def test_persistence_not_better_than_climatology(scored_world):
     clim = E.climatology_baseline(store, store, stats, w, store.varset,
                                   datetime(2006, 1, 1), 1400, t0, n)
     assert pers.aggregate >= clim.aggregate
+
+
+# ------------------------------------------------------------- window memo
+
+@pytest.fixture(scope="module")
+def memo_world(tmp_path_factory):
+    """Two years of 7 variables, two of them outside the evaluation subset."""
+    from rsl.data import SyntheticConfig, generate_synthetic_climate
+    out = tmp_path_factory.mktemp("memo") / "store"
+    store = generate_synthetic_climate(
+        SyntheticConfig(seed=5, years=2, grid=GRID,
+                        variable_set=variable_set("custom", 7)), out)
+    stats = compute_normalization(store, datetime(2006, 1, 1),
+                                  datetime(2006, 12, 31))
+    return out, stats
+
+
+MEMO_TRAIN = (datetime(2006, 1, 1), 1000)
+MEMO_EVAL = (datetime(2006, 9, 1), 900)
+
+
+def memo_reports(store, stats, scored):
+    """What `rsl rollout` scores for one run, as JSON text."""
+    w = area_weights(GRID)
+    out = []
+    for mode in ("mean", "std"):
+        out.append(E.stability_score(scored, store, stats, w, store.varset,
+                                     *MEMO_EVAL, mode=mode).to_json())
+        out.append(E.climatology_baseline(store, store, stats, w, store.varset,
+                                          *MEMO_TRAIN, *MEMO_EVAL,
+                                          mode=mode).to_json())
+    return json.dumps(out, sort_keys=True)
+
+
+def memo_scored(store):
+    """A fixed 'rollout' over every prognostic variable of the store."""
+    rng = np.random.default_rng(8)
+    shape = (len(store.prognostic),) + GRID.shape
+    return E.RolloutStats(variables=store.prognostic, grid=GRID,
+                          count=MEMO_EVAL[1], mean=280.0 + rng.standard_normal(shape),
+                          m2=(1.0 + rng.random(shape)) * MEMO_EVAL[1])
+
+
+def uncached_moments(store, var, t0, n):
+    """The reference window statistics written out, without the store memo."""
+    i0 = store.time_index(t0)
+    s = np.zeros(GRID.shape)
+    s2 = np.zeros(GRID.shape)
+    for c0 in range(i0, i0 + n, 4096):
+        chunk = store.read_range(var, c0, min(c0 + 4096, i0 + n)).astype(np.float64)
+        s += chunk.sum(axis=0)
+        s2 += (chunk * chunk).sum(axis=0)
+    mu = s / n
+    return mu, np.sqrt(np.maximum(s2 / n - mu * mu, 0.0))
+
+
+def test_scoring_reduces_each_window_once_over_the_subset(memo_world, monkeypatch):
+    root, stats = memo_world
+    store = DatasetStore.open(root)
+    reads = []
+    original = DatasetStore.read_range
+    monkeypatch.setattr(DatasetStore, "read_range",
+                        lambda self, var, i0, i1: reads.append(var) or original(self, var, i0, i1))
+    memo_reports(store, stats, memo_scored(store))
+    subset = store.varset.evaluation_subset
+    assert len(subset) < len(store.prognostic)
+    # one chunk per window: the evaluation window and the training window
+    assert sorted(reads) == sorted(2 * subset)
+    assert set(store._cache) == set(subset)
+    memo_reports(store, stats, memo_scored(store))
+    assert len(reads) == 2 * len(subset)
+
+
+def test_scoring_ignores_variables_outside_the_subset(memo_world, tmp_path):
+    import shutil
+    root, stats = memo_world
+    cut = tmp_path / "cut"
+    shutil.copytree(root, cut)
+    store = DatasetStore.open(root)
+    dropped = [v for v in store.prognostic if v not in store.varset.evaluation_subset]
+    assert dropped
+    for v in dropped:
+        shutil.rmtree(cut / v)
+    assert (memo_reports(DatasetStore.open(cut), stats, memo_scored(store))
+            == memo_reports(store, stats, memo_scored(store)))
+
+
+def test_write_year_drops_memoised_moments(memo_world, tmp_path):
+    import shutil
+    root, stats = memo_world
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy)
+    store = DatasetStore.open(copy)
+    before = memo_reports(store, stats, memo_scored(store))
+    var = store.varset.evaluation_subset[0]
+    shifted = store.read_range(var, 0, 1460) + np.float32(3.0)
+    store.write_year(var, 2006, shifted)
+    after = memo_reports(store, stats, memo_scored(store))
+    assert after != before
+    assert after == memo_reports(DatasetStore.open(copy), stats, memo_scored(store))
+    mu, _ = store.window_moments(var, store.time_index(MEMO_TRAIN[0]), MEMO_TRAIN[1])
+    assert np.array_equal(mu, uncached_moments(store, var, *MEMO_TRAIN)[0])
+
+
+def test_mutating_returned_statistics_leaves_later_scores(memo_world):
+    root, stats = memo_world
+    store = DatasetStore.open(root)
+    first = memo_reports(store, stats, memo_scored(store))
+    subset = store.varset.evaluation_subset
+    mu, sd = E._reference_stats(store, subset, *MEMO_EVAL)
+    # a caller that treats the reference as a rollout and keeps streaming
+    rs = E.RolloutStats(variables=subset, grid=GRID, count=MEMO_EVAL[1],
+                        mean=mu, m2=sd ** 2 * MEMO_EVAL[1])
+    rs.update(np.full(mu.shape, 1e3), area_weights(GRID))
+    sd[:] = np.nan
+    for v in subset:
+        for arr in store.window_moments(v, store.time_index(MEMO_TRAIN[0]), MEMO_TRAIN[1]):
+            arr += 7.0
+    assert memo_reports(store, stats, memo_scored(store)) == first
+
+
+def test_warm_store_scores_match_fresh_and_uncached(memo_world):
+    root, stats = memo_world
+    warm = DatasetStore.open(root)
+    scored = memo_scored(warm)
+    first = memo_reports(warm, stats, scored)
+    assert memo_reports(warm, stats, scored) == first
+    assert memo_reports(DatasetStore.open(root), stats, scored) == first
+    # inline oracle: the same statistics and RMSE, without the memo
+    raw = DatasetStore.open(root)
+    w = area_weights(GRID)
+    subset = raw.varset.evaluation_subset
+    n = MEMO_TRAIN[1]
+    clim_mu, clim_sd = zip(*(uncached_moments(raw, v, *MEMO_TRAIN) for v in subset))
+    expected = []
+    for k in range(2):                      # mode "mean", then "std"
+        ref = [uncached_moments(raw, v, *MEMO_EVAL)[k] for v in subset]
+        run = (scored.mean, scored.std)[k]
+        clim = clim_mu if k == 0 else [np.sqrt(np.maximum(sd ** 2 * n / n, 0.0))
+                                       for sd in clim_sd]
+        for pred in ([run[scored.variables.index(v)] for v in subset], clim):
+            per_var = {v: {"norm": E._area_rmse((p - r) / stats.values[v][1], w),
+                           "phys": E._area_rmse(p - r, w)}
+                       for v, p, r in zip(subset, pred, ref)}
+            expected.append((per_var, float(np.mean([x["norm"] for x in per_var.values()]))))
+    assert [(r["per_variable"], r["aggregate"]) for r in json.loads(first)] == expected
 
 
 # ------------------------------------------------------------- aggregation
