@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_json_atomic
 from .data import (DatasetStore, NormalizationStats, SyntheticConfig,
                    compute_normalization, forcing_provider,
                    generate_synthetic_climate, normalized_constants,
@@ -182,19 +183,6 @@ def _calendar_steps(start: datetime, years: int) -> int:
     return int((end - start).total_seconds()) // (6 * 3600)
 
 
-def _write_json_atomic(path: Path, doc: dict) -> None:
-    """Write `doc` to a temporary file beside `path`, then rename it over
-    `path`, so a killed process leaves either the old file or the new one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def cmd_rollout(args) -> int:
     run_dir = Path(args.run)
     if not run_dir.exists():
@@ -244,7 +232,7 @@ def cmd_rollout(args) -> int:
            "steps": stats_out.count, "start": start.isoformat(),
            "scores": scores, "climatology": clim,
            "config": cfg.to_json()}
-    _write_json_atomic(run_dir / "score.json", doc)
+    write_json_atomic(run_dir / "score.json", doc)
     agg = scores["mean"]["aggregate"]
     print(f"rollout {stats_out.count} steps, finite={stats_out.finite}, "
           f"mean-state score {agg} (climatology {clim['mean']['aggregate']})")

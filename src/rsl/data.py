@@ -280,10 +280,8 @@ class DatasetStore:
 
     def _load_var(self, var: str) -> np.ndarray:
         if var not in self._cache:
-            parts = []
-            for year, _, count in self._years:
-                raw = np.fromfile(self.root / var / f"{year}.bin", dtype="<f4")
-                parts.append(raw.reshape((count,) + self.grid.shape))
+            parts = [_read_f4(self.root / var / f"{year}.bin", (count,) + self.grid.shape)
+                     for year, _, count in self._years]
             self._cache[var] = np.concatenate(parts) if len(parts) > 1 else parts[0]
         return self._cache[var]
 
@@ -313,8 +311,8 @@ class DatasetStore:
 
     def read_constants(self) -> np.ndarray:
         if self._const is None:
-            raw = np.fromfile(self.root / "constants.bin", dtype="<f4")
-            self._const = raw.reshape((len(self.constants),) + self.grid.shape)
+            self._const = _read_f4(self.root / "constants.bin",
+                                   (len(self.constants),) + self.grid.shape)
         return self._const
 
     # -- stats
@@ -326,6 +324,16 @@ class DatasetStore:
     def load_stats(self) -> NormalizationStats:
         with open(self.root / "stats.json") as f:
             return NormalizationStats.from_json(json.load(f))
+
+
+def _read_f4(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """A little-endian float32 file that must hold exactly `shape`."""
+    expected = 4 * int(np.prod(shape))
+    size = path.stat().st_size
+    if size != expected:
+        raise ConfigError(f"{path}: {size} bytes, expected {expected} for shape "
+                          f"{shape} (truncated or not written by this manifest)")
+    return np.fromfile(path, dtype="<f4").reshape(shape)
 
 
 def _year_chunks(start: datetime, n_steps: int) -> list[tuple[int, int, int]]:
@@ -482,15 +490,24 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     else:
         qmix = np.ones((1, 1))
 
-    def draw_noise(sigma, mask):
-        re = rng.standard_normal((kp, plan.lmax + 1, plan.mmax + 1))
-        im = rng.standard_normal((kp, plan.lmax + 1, plan.mmax + 1))
-        im[:, :, 0] = 0.0
-        z = (re + 1j * im) * mask
-        z[:, :, 1:] /= np.sqrt(2.0)
-        return z * sigma[None, :, None]
+    # The dynamics only ever touch the in-band (l, m) entries of the spectrum
+    # (everything else stays exactly zero), so the state is kept as the
+    # (kp, n_in_band) vector of those entries.
+    fast_l, fast_m = np.nonzero(mmask)
+    spec_shape = (kp, plan.lmax + 1, plan.mmax + 1)
 
-    state = draw_noise(sigma_l, mmask)        # stationary initial condition
+    def band_noise(draws, sigma, l, m):
+        """Complex noise on the entries (l, m) from full-spectrum standard
+        normal draws of shape (..., 2, kp, lmax+1, mmax+1) (real, imaginary)."""
+        re = draws[..., 0, :, :, :][..., l, m]
+        im = draws[..., 1, :, :, :][..., l, m]
+        im[..., m == 0] = 0.0
+        z = re + 1j * im
+        z[..., m > 0] /= np.sqrt(2.0)
+        return z * sigma[l]
+
+    # stationary initial condition
+    state = band_noise(rng.standard_normal((2,) + spec_shape), sigma_l, fast_l, fast_m)
 
     # Slow interannual modes: low-degree OU with a year-scale memory. Degrees
     # l >= 1 have zero area mean, so global-mean drift diagnostics are
@@ -503,7 +520,9 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
         smask[l, : min(l, mb) + 1] = 1.0
     gamma_slow = float(np.exp(-1.0 / (cfg.slow_tau_years * 365.25 * 4)))
     inj_slow = np.sqrt(1.0 - gamma_slow * gamma_slow)
-    slow_state = draw_noise(sigma_slow, smask)
+    slow_l, slow_m = np.nonzero(smask)
+    slow_state = band_noise(rng.standard_normal((2,) + spec_shape), sigma_slow,
+                            slow_l, slow_m)
     base = 270.0 + 30.0 * rng.random(kp)
     amp = 5.0 + 10.0 * rng.random(kp)
     seas_amp = amp * cfg.seasonal_frac / (1.0 - cfg.seasonal_frac)
@@ -531,26 +550,59 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
             cfields[name] = f if name == "lsm" else 2000.0 * f
     store.write_constants(cfields)
 
+    # Steps run in chunks: one RNG call (the same stream as per-step draws of
+    # fast re, fast im, slow re, slow im), one synthesis and one seasonal
+    # expression per chunk; only the OU recurrence itself is per step. The
+    # chunk buffers are reused, and 32 steps keep them at a few MB. TISR
+    # depends only on the day of year and hour the 6 h window starts at, so
+    # each distinct field is computed once per world, into one table (not
+    # 1464 small arrays, which would stay behind in the heap as fragments).
+    chunk = 32
+    draws = np.empty((chunk, 2, 2) + spec_shape)       # step, fast/slow, re/im
+    fast_hist = np.empty((chunk,) + state.shape, dtype=np.complex128)
+    slow_hist = np.empty((chunk,) + slow_state.shape, dtype=np.complex128)
+    coeffs = np.zeros((chunk,) + spec_shape, dtype=np.complex128)
+    fast_phase = phase[fast_m]
+    tisr_table = np.empty((366, 4) + grid.shape, dtype=np.float32)
+    tisr_known = np.zeros((366, 4), dtype=bool)
+    doys = np.empty(chunk, dtype=np.int64)
     names = cfg.variable_set.prognostic
     t = start
     for year, _, count in store._years:
-        block = np.empty((count, kp, grid.n_lat, grid.n_lon), dtype=np.float32)
-        tisr = np.empty((count, grid.n_lat, grid.n_lon), dtype=np.float32)
-        for j in range(count):
-            doy = t.timetuple().tm_yday
-            fields = sht_inverse(state + slow_state, plan)   # (kp, H, W)
-            block[j] = (base[:, None, None]
-                        + amp[:, None, None] * fields
-                        + seas_amp[:, None, None] * seasonal[doy - 1][None, :, None]
-                        ).astype(np.float32)
-            tisr[j] = compute_tisr(t, grid).astype(np.float32)
-            mixed = np.einsum("pq,qlm->plm", qmix, state)
-            state = gamma * (mixed * phase[None, None, :]) + inj * draw_noise(sigma_l, mmask)
-            slow_state = gamma_slow * slow_state + inj_slow * draw_noise(sigma_slow, smask)
-            t += STEP
+        block = np.empty((kp, count, grid.n_lat, grid.n_lon), dtype=np.float32)
+        window_days, window_hours = [], []
+        for j0 in range(0, count, chunk):
+            n = min(chunk, count - j0)
+            rng.standard_normal(out=draws[:n])
+            fast_noise = band_noise(draws[:n, 0], sigma_l, fast_l, fast_m)
+            slow_noise = band_noise(draws[:n, 1], sigma_slow, slow_l, slow_m)
+            for j in range(n):
+                fast_hist[j] = state
+                slow_hist[j] = slow_state
+                mixed = np.einsum("pq,qi->pi", qmix, state)
+                state = gamma * (mixed * fast_phase) + inj * fast_noise[j]
+                slow_state = gamma_slow * slow_state + inj_slow * slow_noise[j]
+                doys[j] = t.timetuple().tm_yday
+                t0 = t - STEP
+                window = (t0.timetuple().tm_yday - 1, t0.hour // STEP_HOURS)
+                if not tisr_known[window]:
+                    tisr_table[window] = compute_tisr(t, grid)
+                    tisr_known[window] = True
+                window_days.append(window[0])
+                window_hours.append(window[1])
+                t += STEP
+            c = coeffs[:n]
+            c[..., fast_l, fast_m] = fast_hist[:n]
+            c[..., slow_l, slow_m] += slow_hist[:n]
+            # base + amp * fields + seas_amp * seasonal[doy - 1], in place
+            fields = sht_inverse(c, plan)                  # (n, kp, H, W)
+            fields *= amp[:, None, None]
+            fields += base[:, None, None]
+            fields += seas_amp[:, None, None] * seasonal[doys[:n] - 1][:, None, :, None]
+            block[:, j0 : j0 + n] = fields.swapaxes(0, 1)
         for k, name in enumerate(names):
-            store.write_year(name, year, block[:, k])
-        store.write_year("tisr", year, tisr)
+            store.write_year(name, year, block[k])
+        store.write_year("tisr", year, tisr_table[window_days, window_hours])
     return store
 
 

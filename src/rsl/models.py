@@ -121,11 +121,6 @@ class ModelState:
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def snapshot(self) -> "ModelState":
-        """Read-only copy safe to share across concurrent rollouts."""
-        params = {k: ad.Tensor(p.data.copy()) for k, p in self.params.items()}
-        return ModelState(self.spec, self.grid, params, self.plan, self.dtype)
-
     def save(self, path) -> None:
         ad.save_checkpoint(self.params, path)
 

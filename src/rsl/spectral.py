@@ -1,4 +1,4 @@
-"""Spherical harmonics transform on the equiangular grid, plus 2D real FFTs.
+"""Spherical harmonics transform on the equiangular grid.
 
 Conventions:
   * Orthonormal harmonics: Y_00 = 1/sqrt(4*pi), so a constant field 1 maps to
@@ -146,24 +146,6 @@ def synthesize_random(plan: SHTPlan, rng: np.random.Generator,
             im = 0.0 if m == 0 else rng.standard_normal()
             c[l, m] = amp * (re + 1j * im)
     return c, sht_inverse(c, plan)
-
-
-# ------------------------------------------------------------ 2D FFT helpers
-
-def fft2_forward(field: np.ndarray) -> np.ndarray:
-    """Separable real 2D DFT over the trailing (H, W) axes, unnormalized:
-    a constant field c maps to c*H*W in the (0, 0) bin."""
-    field = np.asarray(field)
-    if field.ndim < 2:
-        raise ShapeError("fft2_forward expects at least 2 dimensions")
-    return np.fft.rfft2(field.astype(np.float64), axes=(-2, -1))
-
-
-def fft2_inverse(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    spectrum = np.asarray(spectrum)
-    if spectrum.shape[-2] != shape[0] or spectrum.shape[-1] != shape[1] // 2 + 1:
-        raise ShapeError(f"spectrum shape {spectrum.shape} vs field shape {shape}")
-    return np.fft.irfft2(spectrum, s=shape, axes=(-2, -1))
 
 
 # ------------------------------------------------------------ differentiable

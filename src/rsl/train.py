@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_path, write_json_atomic
 from .data import (DatasetStore, NormalizationStats, compute_normalization,
                    load_batch, parse_date, sample_index, variable_set)
 from .errors import ConfigError, NonFiniteError
@@ -328,25 +329,27 @@ def _assign(state: ModelState, arrays: dict[str, np.ndarray]) -> None:
 
 
 def run_training(cfg: TrainConfig, store: DatasetStore, run_dir) -> TrainRecord:
-    """Train and persist the run-directory artifacts."""
+    """Train and persist the run-directory artifacts.
+
+    Every artefact is written to a temporary file and renamed into place, and
+    `record.json` comes last: sweep resume treats it as "run complete", so it
+    exists only once everything a rollout needs is on disk."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w") as f:
-        json.dump(cfg.to_json(), f, indent=1, sort_keys=True)
+    write_json_atomic(run_dir / "config.json", cfg.to_json())
     lines: list[str] = []
 
     def log(s: str):
         lines.append(s)
 
     state, record, stats = train(cfg, store, log)
-    state.save(run_dir / "best.ckpt")     # train() restores the best checkpoint
-    state.save(run_dir / "last.ckpt")
-    with open(run_dir / "record.json", "w") as f:
-        json.dump(record.to_json(), f, indent=1, sort_keys=True)
-    with open(run_dir / "stats.json", "w") as f:
-        json.dump(stats.to_json(), f, indent=1, sort_keys=True)
-    with open(run_dir / "log.txt", "w") as f:
-        f.write("\n".join(lines) + "\n")
+    for name in ("best.ckpt", "last.ckpt"):   # train() restores the best checkpoint
+        with atomic_path(run_dir / name) as tmp:
+            state.save(tmp)
+    write_json_atomic(run_dir / "stats.json", stats.to_json())
+    with atomic_path(run_dir / "log.txt") as tmp:
+        tmp.write_text("\n".join(lines) + "\n")
+    write_json_atomic(run_dir / "record.json", record.to_json())
     return record
 
 
@@ -415,9 +418,9 @@ def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> tuple[str, st
         return run_id(cfg), record.status
     except Exception as exc:  # individual run failures never kill the sweep
         Path(run_dir).mkdir(parents=True, exist_ok=True)
-        with open(Path(run_dir) / "record.json", "w") as f:
-            json.dump({"status": "failed", "seed": cfg.seed,
-                       "diagnostics": {"reason": repr(exc)}}, f)
+        write_json_atomic(Path(run_dir) / "record.json",
+                          {"status": "failed", "seed": cfg.seed,
+                           "diagnostics": {"reason": repr(exc)}})
         return run_id(cfg), "failed"
 
 
@@ -454,6 +457,5 @@ def run_sweep(sweep: SweepSpec, store_dir, root, jobs: int = 1,
                 log(f"run {rid}: {status}")
     manifest = {"runs": [{"id": run_id(c), "status": statuses[run_id(c)],
                           "config": c.to_json()} for c in configs]}
-    with open(root / "sweep.json", "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    write_json_atomic(root / "sweep.json", manifest)
     return manifest

@@ -126,6 +126,22 @@ def test_train_nonfinite_loss_exit3(cli_store, tmp_path):
     assert record["status"] == "failed"
 
 
+def test_train_on_truncated_year_file_exit2(cli_store, tmp_path, capsys):
+    import shutil
+    store = tmp_path / "ds"
+    shutil.copytree(cli_store, store)
+    year = store / DatasetStore.open(store).prognostic[0] / "2006.bin"
+    year.write_bytes(year.read_bytes()[:-4096])      # as if gen-data was killed
+    code = run_cli("train", "--data", str(store), "--arch", "sfno",
+                   "--layers", "1", "--dim", "8", "--vars", "custom:3",
+                   "--train-start", "2006-01-01", "--train-end", "2006-06-30",
+                   "--val-start", "2006-07-01", "--val-end", "2006-07-31",
+                   "--epochs", "1", "--run-dir", str(tmp_path / "r"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(year) in err and "truncated" in err
+
+
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"training": {"bogus_key": 1}}))
@@ -216,7 +232,7 @@ def test_rollout_checkpoint_of_another_shape_exit2(cli_run, cli_store, tmp_path,
 def test_score_json_survives_a_failed_write(cli_run, cli_store, tmp_path, monkeypatch):
     import shutil
     import types
-    from rsl import cli
+    from rsl import atomic
     run = tmp_path / "atomic_run"
     shutil.copytree(cli_run, run)
     args = ("rollout", "--run", str(run), "--reference", str(cli_store),
@@ -229,8 +245,7 @@ def test_score_json_survives_a_failed_write(cli_run, cli_store, tmp_path, monkey
         f.write(json.dumps(doc, **kw)[:200])
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "json", types.SimpleNamespace(
-        load=json.load, dump=dump_half_then_fail))
+    monkeypatch.setattr(atomic, "json", types.SimpleNamespace(dump=dump_half_then_fail))
     with pytest.raises(OSError, match="disk full"):
         run_cli(*args[:-1], "80")
     assert (run / "score.json").read_bytes() == before

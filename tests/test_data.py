@@ -1,3 +1,4 @@
+import hashlib
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -278,3 +279,82 @@ def test_out_of_range_batch_rejected(small_store):
                                     datetime(2006, 12, 31))
     with pytest.raises(ConfigError):
         D.load_batch(small_store, stats, [datetime(2008, 12, 31, 18)], 2)
+
+
+# Digests of every file of two small worlds. They pin the generator's output
+# byte for byte, so a rewrite of the generator must reproduce these files
+# exactly. They were taken with numpy 2.4 (PCG64 normals, pocketfft) and
+# OpenBLAS 0.3.31 on x86-64; another numpy or BLAS build may legitimately
+# change the low bits, and then the digests must be retaken from the old code.
+GOLDEN_WORLDS = {
+    # seed 11, 2007-2008 on 16x8: a year boundary, the 2008 leap day, and a
+    # band limit (10) above lmax (7)
+    "w1": D.SyntheticConfig(seed=11, years=2, start_year=2007, grid=make_grid(16, 8),
+                            variable_set=D.variable_set("vars8")),
+    # one prognostic variable: the coupling matrix is np.ones((1, 1))
+    "w2": D.SyntheticConfig(seed=11, years=1, start_year=2008, grid=make_grid(32, 16),
+                            variable_set=D.variable_set("custom", 1)),
+}
+GOLDEN_SHA256 = {
+    "w1": {
+        "constants.bin":
+            "d40315f6e997f0779ace176a9e5311a6186521f48401f896557d353d417f83e5",
+        "manifest.json":
+            "d13bb376a0aeae61122a1523ce62a380dc67a9987626ccd6bbacb39ec9b1ddde",
+        "ta850/2007.bin":
+            "7dc1dbf562a6415d7f67cd656a28559d19c2a25854c5ea753a87a16e17566d7a",
+        "ta850/2008.bin":
+            "0e7b5766ab30be7b2c43d3368d5b75de9940b73ddd4362ed084de2f898692d9d",
+        "tas/2007.bin":
+            "922ce11b378c3843a49d1c54f09b9274a571f9035f3a6937ec2538e9fa4f229e",
+        "tas/2008.bin":
+            "ca9bd97b848e2c10497ce9cefaea4a6993472744c1762e5a3566c48c08b4f59b",
+        "tisr/2007.bin":
+            "b41599f6923069913cc788a84100e5ec343f947f038b32f743fe7fcc3503fbf7",
+        "tisr/2008.bin":
+            "2eeb0a68939e7470dae2d81598678a74993dfdabc4e566c96cd90530ec831a63",
+        "uas/2007.bin":
+            "2b836b1abca1b5fe77ac34001e9cee8692f9e61439b39fd59b20feb75c38e2f7",
+        "uas/2008.bin":
+            "4a29313cc7a1878de5092f00a06a474393634509c0d7f57b3f98572a12d09c93",
+        "vas/2007.bin":
+            "f89d1f9113d5f632b1e6331dbff4f7b3ed0e42523facab0ddd2b325b17d57b8f",
+        "vas/2008.bin":
+            "0f527f78a0ace3cdc66fb7721f3b73e1c1551241380baf00d9510b43346bfca6",
+        "zg1000/2007.bin":
+            "31010f16be14df1d5f3de5728f45de9156bba5e1729e58ee457113c73843940b",
+        "zg1000/2008.bin":
+            "7b03ece38640c134c794d3b37805316c9d4fefc4c9ef3c55f548b1e61f46ddf6",
+        "zg300/2007.bin":
+            "bc9d82b6582619645e6ab86e029301d84d9741934048ed09010ca6eb6bc54cc2",
+        "zg300/2008.bin":
+            "63b4ef7e6d120efd781b0eebbf94b9eb54ed90b69de3f88df7de49ed53a43382",
+        "zg500/2007.bin":
+            "af5dcd6e849f6933c8e0a7ce4663a16d2c9adb24785d743ac3feab8975360c84",
+        "zg500/2008.bin":
+            "99d64dae4af831044bf8ea780704348a8e5434aa22b2147d7089611bd5895679",
+        "zg700/2007.bin":
+            "6eb3851690ba031e410597761f3497b0ca186768f4a9fb1a2b6c59ec394a05e1",
+        "zg700/2008.bin":
+            "b5fedab5b2ea25d4eb0347fe61b7b2088654818184443927f3ec4117b5babe7b",
+    },
+    "w2": {
+        "constants.bin":
+            "75f9a5a9f5386c41889f0824cb8d94215506bc5394a23ff0aedf3f4f8f7d07f6",
+        "manifest.json":
+            "51e30b368445374238b56a0f65ddbe3b7721ea8234cbc22194fecad9a69ff114",
+        "tisr/2008.bin":
+            "e07e5d349caff34928cbb67457d0594d2c43c8bc8b3e6b08385bb7f09bdeaa2c",
+        "v00/2008.bin":
+            "2fc0750ffca82b2e2a5eeb2f0d11b0f7a8d6606875ae7e0d367da7a7f1b530d6",
+    },
+}
+
+
+@pytest.mark.parametrize("world", sorted(GOLDEN_WORLDS))
+def test_generator_bytes_are_pinned(world, tmp_path):
+    out = tmp_path / world
+    D.generate_synthetic_climate(GOLDEN_WORLDS[world], out)
+    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.rglob("*")) if p.is_file()}
+    assert got == GOLDEN_SHA256[world]

@@ -4,9 +4,8 @@ import pytest
 from rsl import autodiff as ad
 from rsl.errors import ConfigError, ShapeError
 from rsl.grid import area_weighted_mean, area_weights, make_grid
-from rsl.spectral import (fft2_forward, fft2_inverse, plan_sht, sht_forward,
-                          sht_forward_t, sht_inverse, sht_inverse_t,
-                          spectral_energy, synthesize_random)
+from rsl.spectral import (plan_sht, sht_forward, sht_forward_t, sht_inverse,
+                          sht_inverse_t, spectral_energy, synthesize_random)
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
 
@@ -130,33 +129,6 @@ def test_forward_rejects_wrong_shape(plan16):
         sht_forward(np.zeros((4, 8)), plan16)
     with pytest.raises(ShapeError):
         sht_inverse(np.zeros((2, 2), complex), plan16)
-
-
-# --------------------------------------------------------------- 2D FFT
-
-def test_fft2_delta_flat_spectrum():
-    f = np.zeros((4, 6))
-    f[0, 0] = 1.0
-    assert np.allclose(fft2_forward(f), 1.0)
-
-
-def test_fft2_constant_single_bin():
-    f = np.full((4, 6), 2.5)
-    z = fft2_forward(f)
-    assert z[0, 0] == pytest.approx(2.5 * 24)
-    z[0, 0] = 0
-    assert np.abs(z).max() < 1e-9
-
-
-def test_fft2_roundtrip_32bit(rng):
-    f = rng.standard_normal((8, 12)).astype(np.float32)
-    back = fft2_inverse(fft2_forward(f), (8, 12))
-    assert np.abs(back - f).max() < 1e-6
-
-
-def test_fft2_shape_check():
-    with pytest.raises(ShapeError):
-        fft2_inverse(np.zeros((4, 3), complex), (4, 8))
 
 
 # --------------------------------------------------------------- autodiff path

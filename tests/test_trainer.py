@@ -333,3 +333,36 @@ def test_sweep_run_and_resume(micro_store, tmp_path):
     assert (root / rid / "best.ckpt").stat().st_mtime_ns != mtimes[rid]
     other = manifest["runs"][1]["id"]
     assert (root / other / "best.ckpt").stat().st_mtime_ns == mtimes[other]
+
+
+def test_failed_artifact_write_leaves_run_incomplete(micro_store, tmp_path, monkeypatch):
+    # a write that dies at stats.json must not leave a record.json behind,
+    # so a resumed sweep retrains the run instead of skipping it
+    sweep = T.SweepSpec(archs=["sfno"], variable_sets=["custom:3"],
+                        m_steps=[1], layers=[1], dims=[8], seeds=[597],
+                        train_start="2006-01-01", train_end="2006-10-31",
+                        val_start="2006-11-01", val_end="2006-11-30",
+                        batch_size=64, epochs=1)
+    (cfg,) = T.enumerate_runs(sweep)
+    root = tmp_path / "sweep"
+    run_dir = root / T.run_id(cfg)
+    real_write = T.write_json_atomic
+
+    def fail_on_stats(path, doc):
+        if path.name == "stats.json":
+            raise OSError("killed while writing stats.json")
+        real_write(path, doc)
+
+    monkeypatch.setattr(T, "write_json_atomic", fail_on_stats)
+    with pytest.raises(OSError, match="stats.json"):
+        T.run_training(cfg, micro_store, run_dir)
+    assert not (run_dir / "record.json").exists()
+    assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
+    monkeypatch.undo()
+
+    log = []
+    manifest = T.run_sweep(sweep, micro_store.root, root, log=log.append)
+    assert log == [f"run {T.run_id(cfg)}: ok"]
+    assert manifest["runs"][0]["status"] == "ok"
+    for name in ("best.ckpt", "last.ckpt", "stats.json", "log.txt", "record.json"):
+        assert (run_dir / name).exists()
