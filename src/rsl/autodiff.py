@@ -1,9 +1,10 @@
 """Dense tensor engine with reverse-mode automatic differentiation.
 
 Values live in numpy buffers (float32 for training, float64 for oracles and
-gradient checks). Each operation builds the output eagerly and registers a
-closure computing the vector-Jacobian product for its inputs; `backward` runs
-the closures once in reverse topological order. All reductions use numpy's
+gradient checks). Each operation builds the output eagerly and, when an input
+requires grad, records a `Node` whose closure computes the vector-Jacobian
+product for its inputs; `backward` runs the closures once in reverse
+topological order and frees the graph as it goes. All reductions use numpy's
 fixed sequential/pairwise order, so repeated evaluation of the same graph is
 bit-identical.
 
@@ -51,17 +52,62 @@ def set_nonfinite_trap(enabled: bool) -> None:
     _trap_nonfinite = enabled
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp")
+class Node:
+    """Graph record of one tensor that requires grad: its gradient slot, its
+    parent nodes and its pullback.
 
-    def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
-                 parents: tuple = (), vjp: Callable | None = None):
-        self.data = np.asarray(data)
+    A pullback closes over parent nodes and over exactly the arrays and shapes
+    it reads, never over a parent Tensor, so an activation that no pullback
+    reads is freed as soon as the forward pass drops its Tensor. A leaf has no
+    pullback and keeps its gradient after `backward`.
+    """
+
+    __slots__ = ("grad", "dtype", "parents", "vjp")
+
+    def __init__(self, dtype, parents: tuple = (), vjp: Callable | None = None):
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad and not _no_grad
+        self.dtype = dtype
+        self.parents = parents
+        self.vjp = vjp
+
+
+class Tensor:
+    __slots__ = ("data", "op", "_node")
+
+    def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
+        self.data = np.asarray(data)
         self.op = op
-        self._parents = parents if self.requires_grad else ()
-        self._vjp = vjp if self.requires_grad else None
+        self._node = Node(self.data.dtype) if requires_grad and not _no_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        if not flag:
+            self._node = None
+        elif self._node is None:
+            self._node = Node(self.data.dtype)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = g
+        elif g is not None:
+            raise ValueError("cannot set the gradient of a tensor that does not require grad")
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _vjp(self) -> Callable | None:
+        return None if self._node is None else self._node.vjp
 
     @property
     def shape(self) -> tuple:
@@ -92,18 +138,29 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def _out(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+def _node(t: Tensor) -> Node | None:
+    """The node a pullback writes `t`'s gradient into; None for a constant.
+    The gradient takes the dtype `t` has when the op reads it."""
+    node = t._node
+    if node is not None:
+        node.dtype = t.data.dtype
+    return node
+
+
+def _out(data: np.ndarray, op: str, parents: Sequence[Node | None], vjp: Callable) -> Tensor:
     if _trap_nonfinite and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by op {op!r}")
-    req = (not _no_grad) and any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, op=op, parents=tuple(parents), vjp=vjp)
+    out = Tensor(data, op=op)
+    parents = tuple(p for p in parents if p is not None)
+    if parents and not _no_grad:
+        out._node = Node(out.data.dtype, parents, vjp)
+    return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(node: Node, g: np.ndarray) -> None:
     # Accumulation never mutates in place, so aliasing a child's buffer is safe.
-    if t.requires_grad:
-        g = np.asarray(g, dtype=t.data.dtype)
-        t.grad = g if t.grad is None else t.grad + g
+    g = np.asarray(g, dtype=node.dtype)
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -119,35 +176,56 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+# Every pullback below skips the work for a parent whose node is None.
+
 # ---------------------------------------------------------------- arithmetic
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    na, nb = _node(a), _node(b)
+    sa, sb = a.shape, b.shape
+
     def vjp(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-    return _out(a.data + b.data, "add", (a, b), vjp)
+        if na is not None:
+            _accum(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, sb))
+    return _out(a.data + b.data, "add", (na, nb), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    na, nb = _node(a), _node(b)
+    sa, sb = a.shape, b.shape
+
     def vjp(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-    return _out(a.data - b.data, "subtract", (a, b), vjp)
+        if na is not None:
+            _accum(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(-g, sb))
+    return _out(a.data - b.data, "subtract", (na, nb), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    na, nb = _node(a), _node(b)
+    sa, sb = a.shape, b.shape
+    # Each operand is kept only for the other's gradient.
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
+
     def vjp(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-    return _out(a.data * b.data, "multiply", (a, b), vjp)
+        if na is not None:
+            _accum(na, _unbroadcast(g * xb, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g * xa, sb))
+    return _out(a.data * b.data, "multiply", (na, nb), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
+    na = _node(a)
 
     def vjp(g):
-        _accum(a, g * s)
-    return _out(a.data * a.data.dtype.type(s), "scalar-scale", (a,), vjp)
+        _accum(na, g * s)
+    return _out(a.data * a.data.dtype.type(s), "scalar-scale", (na,), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -155,29 +233,38 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    na, nb = _node(a), _node(b)
+    sa, sb = a.shape, b.shape
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
+
     def vjp(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-    return _out(a.data @ b.data, "matmul", (a, b), vjp)
+        if na is not None:
+            _accum(na, _unbroadcast(g @ np.swapaxes(xb, -1, -2), sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(np.swapaxes(xa, -1, -2) @ g, sb))
+    return _out(a.data @ b.data, "matmul", (na, nb), vjp)
 
 
 # ---------------------------------------------------------------- structure
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
+    na, sa = _node(a), a.shape
 
     def vjp(g):
-        _accum(a, g.reshape(a.shape))
-    return _out(a.data.reshape(shape), "reshape", (a,), vjp)
+        _accum(na, g.reshape(sa))
+    return _out(a.data.reshape(shape), "reshape", (na,), vjp)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = np.argsort(axes)
+    na = _node(a)
 
     def vjp(g):
-        _accum(a, g.transpose(inv))
-    return _out(a.data.transpose(axes), "permute-axes", (a,), vjp)
+        _accum(na, g.transpose(inv))
+    return _out(a.data.transpose(axes), "permute-axes", (na,), vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -185,60 +272,67 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
+    na, sa = _node(a), a.shape
 
     def vjp(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(sa, dtype=g.dtype)
         full[idx] = g
-        _accum(a, full)
-    return _out(a.data[idx], "slice", (a,), vjp)
+        _accum(na, full)
+    return _out(a.data[idx], "slice", (na,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
+    nodes = [_node(p) for p in parts]
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
-        for p, o, n in zip(parts, offsets, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(o, o + n)
-            _accum(p, g[tuple(idx)])
-    return _out(np.concatenate([p.data for p in parts], axis=axis), "concat", parts, vjp)
+        for node, o, n in zip(nodes, offsets, sizes):
+            if node is not None:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(o, o + n)
+                _accum(node, g[tuple(idx)])
+    return _out(np.concatenate([p.data for p in parts], axis=axis), "concat", nodes, vjp)
 
 
 def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
     """Embedding-style lookup of rows along `axis`; adjoint scatter-adds."""
     indices = np.asarray(indices)
+    na, sa = _node(a), a.shape
 
     def vjp(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(sa, dtype=g.dtype)
         np.add.at(full, (slice(None),) * axis + (indices,), g)
-        _accum(a, full)
-    return _out(np.take(a.data, indices, axis=axis), "embedding-lookup", (a,), vjp)
+        _accum(na, full)
+    return _out(np.take(a.data, indices, axis=axis), "embedding-lookup", (na,), vjp)
 
 
 # ---------------------------------------------------------------- reductions
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    na, sa = _node(a), a.shape
+
     def vjp(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape))
+            _accum(na, np.broadcast_to(g, sa))
         else:
             gg = np.expand_dims(g, axis) if not keepdims else g
-            _accum(a, np.broadcast_to(gg, a.shape))
-    return _out(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), vjp)
+            _accum(na, np.broadcast_to(gg, sa))
+    return _out(a.data.sum(axis=axis, keepdims=keepdims), "sum", (na,), vjp)
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.size if axis is None else a.shape[axis]
+    na, sa = _node(a), a.shape
 
     def vjp(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.shape))
+            _accum(na, np.broadcast_to(g / n, sa))
         else:
             gg = np.expand_dims(g, axis) if not keepdims else g
-            _accum(a, np.broadcast_to(gg / n, a.shape))
-    return _out(a.data.mean(axis=axis, keepdims=keepdims), "mean", (a,), vjp)
+            _accum(na, np.broadcast_to(gg / n, sa))
+    return _out(a.data.mean(axis=axis, keepdims=keepdims), "mean", (na,), vjp)
 
 
 def lat_weighted_mean(a: Tensor, lat_weights: np.ndarray) -> Tensor:
@@ -252,10 +346,11 @@ def lat_weighted_mean(a: Tensor, lat_weights: np.ndarray) -> Tensor:
     if len(w) != hh:
         raise ShapeError(f"{len(w)} weights vs {hh} latitude rows")
     coef = w[:, None] / a.dtype.type(hh * ww)
+    na = _node(a)
 
     def vjp(g):
-        _accum(a, g[..., None, None] * coef)
-    return _out((a.data * coef).sum(axis=(-2, -1)), "weighted-mean", (a,), vjp)
+        _accum(na, g[..., None, None] * coef)
+    return _out((a.data * coef).sum(axis=(-2, -1)), "weighted-mean", (na,), vjp)
 
 
 # ---------------------------------------------------------------- pointwise
@@ -263,11 +358,16 @@ def lat_weighted_mean(a: Tensor, lat_weights: np.ndarray) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     phi = 0.5 * (1.0 + erf(x / _SQRT2))
+    na = _node(a)
+    # The derivative is formed here, in the pullback's arithmetic, so the
+    # graph keeps one array of the input's dtype instead of x and phi.
+    dydx = None
+    if na is not None and not _no_grad:
+        dydx = (phi + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))).astype(x.dtype)
 
     def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        _accum(a, g * (phi + x * pdf).astype(x.dtype))
-    return _out((x * phi).astype(x.dtype), "GELU", (a,), vjp)
+        _accum(na, g * dydx)
+    return _out((x * phi).astype(x.dtype), "GELU", (na,), vjp)
 
 
 def softshrink(a: Tensor, lam: float) -> Tensor:
@@ -275,41 +375,50 @@ def softshrink(a: Tensor, lam: float) -> Tensor:
     x = a.data
     lam = x.dtype.type(lam)
     y = np.sign(x) * np.maximum(np.abs(x) - lam, 0)
+    na = _node(a)
+    live = np.abs(x) > lam if na is not None and not _no_grad else None
 
     def vjp(g):
-        _accum(a, g * (np.abs(x) > lam))
-    return _out(y, "soft-shrinkage", (a,), vjp)
+        _accum(na, g * live)
+    return _out(y, "soft-shrinkage", (na,), vjp)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    # In place: y is the one full-size array alive at the end.
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    na = _node(a)
 
     def vjp(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
-    return _out(y, "softmax", (a,), vjp)
+        _accum(na, y * (g - dot))
+    return _out(y, "softmax", (na,), vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis."""
     x = a.data
-    n = x.shape[-1]
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat = xc * inv
+    na, ng, nb = _node(a), _node(gain), _node(bias)
+    w = gain.data
+    sg, sb = gain.shape, bias.shape
 
     def vjp(g):
-        _accum(bias, _unbroadcast(g, bias.shape))
-        _accum(gain, _unbroadcast(g * xhat, gain.shape))
-        gx = g * gain.data
-        term = (gx - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        _accum(a, term * inv)
-    return _out(xhat * gain.data + bias.data, "layer-normalization", (a, gain, bias), vjp)
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, sb))
+        if ng is not None:
+            _accum(ng, _unbroadcast(g * xhat, sg))
+        if na is not None:
+            gx = g * w
+            term = (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            _accum(na, term * inv)
+    return _out(xhat * w + bias.data, "layer-normalization", (na, ng, nb), vjp)
 
 
 # ---------------------------------------------------------------- contraction
@@ -321,17 +430,19 @@ def einsum(spec: str, *ts: Tensor) -> Tensor:
     in_specs = lhs.split(",")
     if len(in_specs) != len(ts):
         raise ShapeError(f"einsum spec {spec!r} expects {len(in_specs)} operands")
+    nodes = [_node(t) for t in ts]
+    kept = [t.data for t in ts]
 
     def vjp(g):
-        for i, t in enumerate(ts):
-            if not t.requires_grad:
+        for i, node in enumerate(nodes):
+            if node is None:
                 continue
             others = [s for j, s in enumerate(in_specs) if j != i]
-            arrs = [ts[j].data for j in range(len(ts)) if j != i]
+            arrs = [x for j, x in enumerate(kept) if j != i]
             sub = ",".join([out_spec] + others) + "->" + in_specs[i]
-            _accum(t, np.einsum(sub, g, *arrs, optimize=True))
+            _accum(node, np.einsum(sub, g, *arrs, optimize=True))
     data = np.einsum(spec, *[t.data for t in ts], optimize=True)
-    return _out(data, "linear-contraction", ts, vjp)
+    return _out(data, "linear-contraction", nodes, vjp)
 
 
 # ---------------------------------------------------------------- real FFTs
@@ -345,12 +456,13 @@ def rfft(a: Tensor) -> Tensor:
     n = a.shape[-1]
     cplx = np.complex64 if a.dtype == np.float32 else np.complex128
     z = np.fft.rfft(a.data, axis=-1)
+    na = _node(a)
 
     def vjp(g):
         pad = np.zeros(g.shape[1:-1] + (n,), dtype=cplx)
         pad[..., : n // 2 + 1] = g[0] + 1j * g[1]
-        _accum(a, np.fft.ifft(pad, axis=-1).real * n)
-    return _out(np.stack([z.real, z.imag]), "real-FFT-1d", (a,), vjp)
+        _accum(na, np.fft.ifft(pad, axis=-1).real * n)
+    return _out(np.stack([z.real, z.imag]), "real-FFT-1d", (na,), vjp)
 
 
 def irfft(z: Tensor, n: int) -> Tensor:
@@ -363,6 +475,7 @@ def irfft(z: Tensor, n: int) -> Tensor:
     if z.shape[0] != 2 or z.shape[-1] != nb:
         raise ShapeError(f"irfft expects (2, ..., {nb}), got {z.shape}")
     y = np.fft.irfft(z.data[0] + 1j * z.data[1], n=n, axis=-1)
+    nz = _node(z)
 
     def vjp(g):
         # Synthesis uses e^{+i.}, so the adjoint keeps +Im (unlike rfft's pullback).
@@ -374,8 +487,8 @@ def irfft(z: Tensor, n: int) -> Tensor:
         gi[..., 0] = 0.0
         if n % 2 == 0:
             gi[..., -1] = 0.0
-        _accum(z, np.stack([gr, gi]))
-    return _out(y, "inverse-real-FFT-1d", (z,), vjp)
+        _accum(nz, np.stack([gr, gi]))
+    return _out(y, "inverse-real-FFT-1d", (nz,), vjp)
 
 
 def rfft2(a: Tensor) -> Tensor:
@@ -383,12 +496,13 @@ def rfft2(a: Tensor) -> Tensor:
     hh, ww = a.shape[-2], a.shape[-1]
     cplx = np.complex64 if a.dtype == np.float32 else np.complex128
     z = np.fft.rfft2(a.data, axes=(-2, -1))
+    na = _node(a)
 
     def vjp(g):
         pad = np.zeros(g.shape[1:-1] + (ww,), dtype=cplx)
         pad[..., : ww // 2 + 1] = g[0] + 1j * g[1]
-        _accum(a, np.fft.ifft2(pad, axes=(-2, -1)).real * (hh * ww))
-    return _out(np.stack([z.real, z.imag]), "real-FFT-2d", (a,), vjp)
+        _accum(na, np.fft.ifft2(pad, axes=(-2, -1)).real * (hh * ww))
+    return _out(np.stack([z.real, z.imag]), "real-FFT-2d", (na,), vjp)
 
 
 def irfft2(z: Tensor, shape: tuple[int, int]) -> Tensor:
@@ -404,6 +518,7 @@ def irfft2(z: Tensor, shape: tuple[int, int]) -> Tensor:
         raise ShapeError(f"irfft2 expects (2, ..., {hh}, {nb}), got {z.shape}")
     zc = z.data[0] + 1j * z.data[1]
     y = np.fft.irfft(np.fft.ifft(zc, axis=-2), n=ww, axis=-1)
+    nz = _node(z)
 
     def vjp(g):
         spec = np.fft.rfft(g, axis=-1) / g.dtype.type(ww)
@@ -415,23 +530,26 @@ def irfft2(z: Tensor, shape: tuple[int, int]) -> Tensor:
         if ww % 2 == 0:
             gi[..., -1] = 0.0
         gc = np.fft.fft(gr + 1j * gi, axis=-2) / hh
-        _accum(z, np.stack([gc.real, gc.imag]))
-    return _out(y, "inverse-real-FFT-2d", (z,), vjp)
+        _accum(nz, np.stack([gc.real, gc.imag]))
+    return _out(y, "inverse-real-FFT-2d", (nz,), vjp)
 
 
 # ---------------------------------------------------------------- complex
 
-def complex_mul(ar: Tensor, ai: Tensor, br: Tensor, bi: Tensor) -> tuple[Tensor, Tensor]:
-    """Pointwise complex multiply on paired real/imag channels."""
-    return sub(mul(ar, br), mul(ai, bi)), add(mul(ar, bi), mul(ai, br))
+def complex_matmul(ar: Tensor, ai: Tensor, br: Tensor, bi: Tensor) -> tuple[Tensor, Tensor]:
+    """(ar + i ai) @ (br + i bi) on paired real/imaginary channels, as four
+    real matmuls: re = ar@br - ai@bi, im = ai@br + ar@bi."""
+    re = sub(matmul(ar, br), matmul(ai, bi))
+    im = add(matmul(ai, br), matmul(ar, bi))
+    return re, im
 
 
 # ---------------------------------------------------------------- backward
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(root: Node) -> list[Node]:
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -441,28 +559,34 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
-def backward(loss: Tensor, free_graph: bool = True) -> None:
-    """Populate .grad on every requires_grad tensor reachable from `loss`."""
+def backward(loss: Tensor) -> None:
+    """Populate .grad on every requires_grad tensor reachable from `loss`.
+
+    Each pullback runs once, in reverse topological order, and the graph is
+    freed as it goes: a node drops its pullback (and with it the arrays the
+    pullback kept), its parents and its gradient once its pullback has run.
+    Leaves keep their gradients.
+    """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad (no_grad mode or constant graph)")
-    order = _toposort(loss)
+    order = _toposort(loss._node)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
-        if free_graph:
-            node._vjp = None
-            node._parents = ()
-            if node.op != "leaf":
-                node.grad = None
+        if node.vjp is None:
+            continue
+        if node.grad is not None:
+            node.vjp(node.grad)
+        node.vjp = None
+        node.parents = ()
+        node.grad = None
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

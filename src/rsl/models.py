@@ -276,8 +276,7 @@ def sfno_block(x: ad.Tensor, params: dict, prefix: str, spec: ModelSpec,
     c = ad.transpose(c, (0, 1, 3, 4, 2))                   # (2, B, L, M, D)
     cr, ci = _split_ri(c)
     wr, wi = params[f"{prefix}.mix.wr"], params[f"{prefix}.mix.wi"]
-    orr = ad.sub(ad.matmul(cr, wr), ad.matmul(ci, wi))     # (B, L, M, D) @ (L, D, D)
-    oii = ad.add(ad.matmul(ci, wr), ad.matmul(cr, wi))
+    orr, oii = ad.complex_matmul(cr, ci, wr, wi)           # (B, L, M, D) @ (L, D, D)
     mixed = ad.transpose(_stack_ri(orr, oii), (0, 1, 4, 2, 3))
     y = sht_inverse_t(mixed, plan)                         # (B, D, H, W)
     x = ad.add(x, ad.transpose(y, (0, 2, 3, 1)))
@@ -340,11 +339,9 @@ def afno_block(x: ad.Tensor, params: dict, prefix: str, spec: ModelSpec) -> ad.T
     zr, zi = _split_ri(z)
     w1r, w1i = params[f"{prefix}.spec.w1r"], params[f"{prefix}.spec.w1i"]
     w2r, w2i = params[f"{prefix}.spec.w2r"], params[f"{prefix}.spec.w2i"]
-    hr = ad.sub(ad.matmul(zr, w1r), ad.matmul(zi, w1i))    # (B, nb, HWf, bs)
-    hi = ad.add(ad.matmul(zi, w1r), ad.matmul(zr, w1i))
+    hr, hi = ad.complex_matmul(zr, zi, w1r, w1i)           # (B, nb, HWf, bs)
     hr, hi = ad.gelu(hr), ad.gelu(hi)
-    orr = ad.sub(ad.matmul(hr, w2r), ad.matmul(hi, w2i))
-    oii = ad.add(ad.matmul(hi, w2r), ad.matmul(hr, w2i))
+    orr, oii = ad.complex_matmul(hr, hi, w2r, w2i)
     lam = spec.sparsity_threshold
     orr, oii = ad.softshrink(orr, lam), ad.softshrink(oii, lam)
     zz = ad.reshape(_stack_ri(orr, oii), (2, bb, nb, hh, wf, bs))

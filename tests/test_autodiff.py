@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -129,12 +131,12 @@ def test_linear_op_adjoint_consistency(name, shape, op):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_complex_multiply_matches_complex_arithmetic():
-    ar, ai, br, bi = (t64((4, 4)) for _ in range(4))
-    re, im = ad.complex_mul(ar, ai, br, bi)
-    za = ar.data + 1j * ai.data
-    zb = br.data + 1j * bi.data
-    assert np.allclose(re.data + 1j * im.data, za * zb)
+def test_complex_matmul_matches_complex_matmul():
+    ar, ai = t64((2, 3, 4)), t64((2, 3, 4))
+    br, bi = t64((4, 5)), t64((4, 5))
+    re, im = ad.complex_matmul(ar, ai, br, bi)
+    want = (ar.data + 1j * ai.data) @ (br.data + 1j * bi.data)
+    assert np.allclose(re.data + 1j * im.data, want, rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------- FFT round trips
@@ -212,9 +214,29 @@ def test_no_grad_builds_no_graph():
 def test_graph_freed_after_backward():
     x = t64((3,), grad=True)
     y = ad.sum_(ad.mul(x, x))
-    ad.backward(y, free_graph=True)
+    ad.backward(y)
     assert y._vjp is None and y._parents == ()
     assert x.grad is not None
+
+
+def test_graph_keeps_only_what_pullbacks_read():
+    def run(drop):
+        x = ad.Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4))
+        w = ad.Tensor(np.linspace(0.5, -0.5, 20).reshape(4, 5), requires_grad=True)
+        b = ad.Tensor(np.linspace(-0.1, 0.1, 5), requires_grad=True)
+        h = ad.matmul(x, w)
+        y = ad.sum_(ad.gelu(ad.add(h, b)))
+        alive = weakref.ref(h.data)
+        if drop:
+            del h
+            # add's pullback reads shapes only, so the matmul output has no owner left
+            assert alive() is None
+        ad.backward(y)
+        return w.grad, b.grad
+
+    kept, dropped = run(False), run(True)
+    for g_kept, g_dropped in zip(kept, dropped):
+        assert np.array_equal(g_kept, g_dropped)
 
 
 # ----------------------------------------------------------- checkpoints

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import numpy as np
 import pytest
@@ -89,6 +90,41 @@ def test_m2_gradient_through_fed_forward_chain():
 
     err = ad.check_gradients(loss, st_.params, eps=1e-4, sample=4, seed=2)
     assert err < 1e-3
+
+
+# Digests of the float32 gradients of one 2-step loss on a 16x8 grid, B=2, one
+# per architecture. They pin the engine's arithmetic and its order, so a change
+# to how the graph is stored or freed must reproduce them bit for bit. A
+# deliberate numerics change must retake them from the new code and say so.
+# Taken with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another build may
+# legitimately change the low bits.
+GOLDEN_GRAD_SHA256 = {
+    "sfno": "a07a7f6d596a2b154f38c23cf403100d5fc117647dc5704b09574a6a958f7a75",
+    "fcn": "f9a617dff361e15645fcb810407279903788ce1a104eb110781304b52106c8cd",
+    "climax": "8f80db63206efc4d3a8eff6fdd9a8df57f2f93480ea885f2d3c0f2469ab77072",
+}
+
+
+@pytest.mark.parametrize("arch", sorted(GOLDEN_GRAD_SHA256))
+def test_gradients_are_pinned(arch):
+    rng = np.random.default_rng(5)
+    spec = model_spec(arch, 2, 16, 3, n_forcing=1, n_constant=2, n_heads=4, n_blocks=2)
+    grid = make_grid(16, 8)
+    state = build_model(spec, grid, seed=3)
+    for p in state.params.values():    # nonzero heads and biases, so every gradient moves
+        if not p.data.any():
+            p.data = (rng.standard_normal(p.shape) * 0.1).astype(np.float32)
+    x_seq = [rng.standard_normal((2, 3, 8, 16)).astype(np.float32) for _ in range(3)]
+    f_seq = [rng.standard_normal((2, 1, 8, 16)).astype(np.float32) for _ in range(2)]
+    c = rng.standard_normal((2, 8, 16)).astype(np.float32)
+    loss = T.multi_step_loss(state, x_seq, f_seq, c, area_weights(grid))
+    ad.backward(loss)
+    h = hashlib.sha256(np.float32(loss.item()).tobytes())
+    for name in sorted(state.params):
+        g = state.params[name].grad
+        assert g is not None and g.dtype == np.float32 and g.any(), name
+        h.update(name.encode() + np.ascontiguousarray(g).tobytes())
+    assert h.hexdigest() == GOLDEN_GRAD_SHA256[arch]
 
 
 # ------------------------------------------------------------------ optimizer
