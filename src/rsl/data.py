@@ -12,6 +12,8 @@ On-disk layout (format "RSL-DS-1"):
 from __future__ import annotations
 
 import json
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
+from .atomic import write_json_atomic
 from .errors import ConfigError, ShapeError
 from .grid import GridSpec, make_grid
 from .spectral import SHTPlan, plan_sht, sht_inverse
@@ -202,7 +205,6 @@ class DatasetStore:
         self.constants = tuple(v["constants"])
         self.forcings = tuple(v["forcings"])
         self._years = _year_chunks(self.start, self.n_steps)
-        self._cache: dict[str, np.ndarray] = {}
         # var -> (i0, n) -> (mean, std) of the window, see window_moments
         self._moments: dict[str, dict[tuple[int, int], tuple]] = {}
         self._const: np.ndarray | None = None
@@ -270,7 +272,6 @@ class DatasetStore:
         d = self.root / var
         d.mkdir(exist_ok=True)
         np.ascontiguousarray(arr, dtype="<f4").tofile(d / f"{year}.bin")
-        self._cache.pop(var, None)
         self._moments.pop(var, None)
 
     def write_constants(self, fields: dict[str, np.ndarray]) -> None:
@@ -278,18 +279,56 @@ class DatasetStore:
         np.ascontiguousarray(arr, dtype="<f4").tofile(self.root / "constants.bin")
         self._const = None
 
-    def _load_var(self, var: str) -> np.ndarray:
-        if var not in self._cache:
-            parts = [_read_f4(self.root / var / f"{year}.bin", (count,) + self.grid.shape)
-                     for year, _, count in self._years]
-            self._cache[var] = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return self._cache[var]
-
     def read_steps(self, var: str, indices) -> np.ndarray:
-        return self._load_var(var)[np.asarray(indices)]
+        """Steps `indices` of `var` in the caller's order, duplicates included,
+        shape indices.shape + (H, W). Each distinct step is read once."""
+        idx = np.asarray(indices)
+        steps = idx.ravel().tolist()
+        if steps and not 0 <= min(steps) <= max(steps) < self.n_steps:
+            raise ConfigError(f"{var}: steps {min(steps)}..{max(steps)} outside the "
+                              f"store's time axis [0, {self.n_steps})")
+        inverse = None
+        if not all(a < b for a, b in zip(steps, steps[1:])):   # not sorted and distinct
+            distinct, inverse = np.unique(idx.ravel(), return_inverse=True)
+            steps = distinct.tolist()
+        runs: list[list[int]] = []                 # [first, stop) of consecutive steps
+        for i in steps:
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        out = self._read_runs(var, runs)
+        if inverse is not None:
+            out = out[inverse]
+        return out.reshape(idx.shape + self.grid.shape)
 
     def read_range(self, var: str, i0: int, i1: int) -> np.ndarray:
-        return self._load_var(var)[i0:i1]
+        """Steps [i0, i1) of `var`, shape (i1 - i0, H, W)."""
+        if not 0 <= i0 <= i1 <= self.n_steps:
+            raise ConfigError(f"{var}: steps [{i0}, {i1}) outside the store's "
+                              f"time axis [0, {self.n_steps})")
+        return self._read_runs(var, [(i0, i1)])
+
+    def _read_runs(self, var: str, runs) -> np.ndarray:
+        """Steps [a, b) of `var` for each (a, b) of `runs`, ascending and
+        disjoint, stacked in order into one float32 array read straight from
+        the year files: each year file touched is opened and length-checked
+        once, and each run within a year is one read. Nothing is kept."""
+        out = np.empty((sum(b - a for a, b in runs),) + self.grid.shape, dtype="<f4")
+        step_bytes = out.strides[0]
+        buf = memoryview(out.reshape(-1).view(np.uint8))
+        pos = 0
+        for year, first, count in self._years:
+            stop = first + count
+            parts = [(max(a, first), min(b, stop)) for a, b in runs if a < stop and b > first]
+            if not parts:
+                continue
+            with _open_f4(f"{self.root}/{var}/{year}.bin", (count,) + self.grid.shape) as f:
+                for a, b in parts:
+                    f.seek((a - first) * step_bytes)
+                    _read_exact(f, buf[pos * step_bytes:(pos + b - a) * step_bytes])
+                    pos += b - a
+        return out
 
     def window_moments(self, var: str, i0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-gridpoint float64 temporal mean and population std of `var`
@@ -318,22 +357,41 @@ class DatasetStore:
     # -- stats
 
     def save_stats(self, stats: NormalizationStats) -> None:
-        with open(self.root / "stats.json", "w") as f:
-            json.dump(stats.to_json(), f, indent=1, sort_keys=True)
+        write_json_atomic(self.root / "stats.json", stats.to_json())
 
     def load_stats(self) -> NormalizationStats:
         with open(self.root / "stats.json") as f:
             return NormalizationStats.from_json(json.load(f))
 
 
-def _read_f4(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A little-endian float32 file that must hold exactly `shape`."""
-    expected = 4 * int(np.prod(shape))
-    size = path.stat().st_size
+def _open_f4(path, shape: tuple[int, ...]):
+    """An unbuffered handle on a little-endian float32 file that must hold
+    exactly `shape`."""
+    f = open(path, "rb", buffering=0)
+    expected = 4 * math.prod(shape)
+    size = os.fstat(f.fileno()).st_size
     if size != expected:
+        f.close()
         raise ConfigError(f"{path}: {size} bytes, expected {expected} for shape "
                           f"{shape} (truncated or not written by this manifest)")
-    return np.fromfile(path, dtype="<f4").reshape(shape)
+    return f
+
+
+def _read_exact(f, buf: memoryview) -> None:
+    """Fill `buf` from the current position of `f`."""
+    while buf:
+        n = f.readinto(buf)
+        if not n:
+            raise ConfigError(f"{f.name}: ends early (truncated while being read)")
+        buf = buf[n:]
+
+
+def _read_f4(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """A little-endian float32 file that must hold exactly `shape`."""
+    out = np.empty(shape, dtype="<f4")
+    with _open_f4(path, shape) as f:
+        _read_exact(f, memoryview(out.reshape(-1).view(np.uint8)))
+    return out
 
 
 def _year_chunks(start: datetime, n_steps: int) -> list[tuple[int, int, int]]:

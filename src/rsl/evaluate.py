@@ -11,7 +11,6 @@ updates over the 32-bit states.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_path, write_json_atomic
 from .data import DatasetStore, NormalizationStats, VariableSet
 from .errors import ConfigError, ShapeError
 from .grid import AreaWeights, GridSpec
@@ -68,11 +68,14 @@ class RolloutStats:
         return np.sqrt(np.maximum(self.m2 / self.count, 0.0))
 
     def save(self, out_dir) -> None:
+        """Each file is written atomically: a failed or killed save leaves
+        every file either as it was or complete."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        np.ascontiguousarray(self.mean, dtype="<f8").tofile(out_dir / "means.bin")
-        np.ascontiguousarray(self.std, dtype="<f8").tofile(out_dir / "stds.bin")
-        with open(out_dir / "timeseries.csv", "w") as f:
+        for name, arr in (("means.bin", self.mean), ("stds.bin", self.std)):
+            with atomic_path(out_dir / name) as tmp:
+                np.ascontiguousarray(arr, dtype="<f8").tofile(tmp)
+        with atomic_path(out_dir / "timeseries.csv") as tmp, open(tmp, "w") as f:
             f.write("step," + ",".join(self.variables) + "\n")
             for i, row in enumerate(self.global_means):
                 f.write(f"{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
@@ -81,8 +84,7 @@ class RolloutStats:
                 "first_nonfinite_step": self.first_nonfinite_step,
                 "start_time": self.start_time,
                 "grid": self.grid.to_manifest(), "blowup_bound": BLOWUP_BOUND}
-        with open(out_dir / "meta.json", "w") as f:
-            json.dump(meta, f, indent=1, sort_keys=True)
+        write_json_atomic(out_dir / "meta.json", meta)
 
 
 def rollout(state: ModelState, x0_norm: np.ndarray, forcing_provider,

@@ -136,6 +136,96 @@ def test_store_roundtrip_bit_identical(small_store, tmp_path):
                           a.read_range("tas", 10, 20))
 
 
+def year_file_oracle(store, var):
+    """The whole time axis of `var`, read file by file without the store."""
+    return np.concatenate([
+        np.fromfile(store.root / var / f"{year}.bin", dtype="<f4")
+        for year, _, _ in store._years]).reshape((store.n_steps,) + store.grid.shape)
+
+
+def test_reads_match_the_year_files(small_store):
+    store = D.DatasetStore.open(small_store.root)
+    assert len(store._years) >= 3
+    full = year_file_oracle(store, "tas")
+    first_2007 = store.time_index(datetime(2007, 1, 1))
+    first_2008 = store.time_index(datetime(2008, 1, 1))
+    # unsorted, duplicated, both year boundaries, and runs that cross them
+    idx = np.array([first_2008 + 1, first_2007 - 1, first_2007, first_2007 + 1,
+                    first_2007, 0, store.n_steps - 1, first_2008 - 1, first_2008,
+                    first_2007 - 1, 7, 7])
+    for steps in (idx, idx.reshape(3, 4), np.unique(idx), idx[:1]):
+        got = store.read_steps("tas", steps)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, full[steps])
+    for i0, i1 in ((first_2007 - 50, first_2008 + 50), (0, store.n_steps), (9, 9)):
+        assert np.array_equal(store.read_range("tas", i0, i1), full[i0:i1])
+
+
+def test_store_keeps_nothing_it_reads(small_store):
+    import tracemalloc
+    store = D.DatasetStore.open(small_store.root)
+    assert len(store._years) >= 3
+    store.read_range("uas", 0, 10)      # first call on another variable
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = store.read_range("tas", 0, 10)
+        nbytes = out.nbytes
+        del out
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2 * nbytes
+    assert after - before < 1024        # less than half of one step
+
+
+def test_read_range_past_the_end_rejected(small_store):
+    n = small_store.n_steps
+    with pytest.raises(ConfigError, match=rf"tas: steps \[{n - 5}, {n + 5}\)"):
+        small_store.read_range("tas", n - 5, n + 5)
+    with pytest.raises(ConfigError, match=r"tas: steps \[20, 10\)"):
+        small_store.read_range("tas", 20, 10)
+
+
+def test_read_steps_negative_rejected(small_store):
+    with pytest.raises(ConfigError, match=r"uas: steps -1\.\.3 outside"):
+        small_store.read_steps("uas", [3, -1])
+
+
+def test_window_moments_past_the_end_rejected(small_store):
+    n = small_store.n_steps
+    with pytest.raises(ConfigError, match=rf"vas: steps \[{n - 10}, {n + 10}\)"):
+        small_store.window_moments("vas", n - 10, 20)
+
+
+def test_stats_json_survives_a_failed_write(small_store, tmp_path, monkeypatch):
+    import json
+    import types
+    from rsl import atomic
+    root = tmp_path / "store"
+    store = D.DatasetStore.create(root, small_store.grid, small_store.varset,
+                                  small_store.start, 8)
+    old = D.NormalizationStats({"tas": (280.0, 5.0)}, ("2006-01-01", "2006-01-02"))
+    new = D.NormalizationStats({"tas": (281.0, 6.0)}, ("2006-01-01", "2006-01-02"))
+    store.save_stats(old)
+    before = (root / "stats.json").read_bytes()
+    names = sorted(p.name for p in root.iterdir())
+
+    def dump_half_then_fail(doc, f, **kw):
+        f.write(json.dumps(doc, **kw)[:20])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(atomic, "json", types.SimpleNamespace(dump=dump_half_then_fail))
+    with pytest.raises(OSError, match="disk full"):
+        store.save_stats(new)
+    assert (root / "stats.json").read_bytes() == before
+    assert sorted(p.name for p in root.iterdir()) == names
+    (root / "stats.json").unlink()
+    with pytest.raises(OSError, match="disk full"):
+        store.save_stats(new)
+    assert sorted(p.name for p in root.iterdir()) == ["manifest.json"]
+
+
 def test_manifest_format(small_store):
     m = small_store.manifest
     assert m["format_version"] == "RSL-DS-1"

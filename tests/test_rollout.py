@@ -118,6 +118,51 @@ def test_rollout_save_layout(tmp_path):
     assert meta["steps"] == 10 and meta["finite"] is True
 
 
+ROLLOUT_FILES = ("means.bin", "stds.bin", "timeseries.csv", "meta.json")
+
+
+@pytest.mark.parametrize("failing", ROLLOUT_FILES)
+def test_rollout_files_survive_a_failed_write(tmp_path, monkeypatch, failing):
+    from contextlib import contextmanager
+    from rsl import atomic
+    names = ("a", "b", "c")
+    x0 = R.standard_normal((3,) + GRID.shape).astype(np.float32)
+
+    def run(steps):
+        return E.rollout(fresh_model(), x0, zero_forcing,
+                         np.zeros((4,) + GRID.shape, np.float32), steps,
+                         FakeStats(names), area_weights(GRID), names,
+                         start_time=datetime(2009, 1, 1))
+
+    old_dir, new_dir, out = tmp_path / "old", tmp_path / "new", tmp_path / "rollout"
+    run(4).save(old_dir)
+    run(6).save(new_dir)
+    run(4).save(out)
+    real = atomic.atomic_path
+
+    @contextmanager
+    def fail_before_rename(path):
+        with real(path) as tmp:
+            yield tmp
+            if path.name == failing:
+                tmp.write_bytes(tmp.read_bytes()[:10])
+                raise OSError("disk full")
+
+    monkeypatch.setattr(atomic, "atomic_path", fail_before_rename)
+    monkeypatch.setattr(E, "atomic_path", fail_before_rename)
+    with pytest.raises(OSError, match="disk full"):
+        run(6).save(out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(ROLLOUT_FILES)
+    for name in ROLLOUT_FILES:
+        got = (out / name).read_bytes()
+        assert got in ((old_dir / name).read_bytes(), (new_dir / name).read_bytes())
+    assert (out / failing).read_bytes() == (old_dir / failing).read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        run(6).save(tmp_path / "fresh")
+    assert failing not in [p.name for p in (tmp_path / "fresh").iterdir()]
+    assert all(not p.name.startswith(".") for p in (tmp_path / "fresh").iterdir())
+
+
 # ------------------------------------------------------------- scoring
 
 @pytest.fixture(scope="module")
@@ -347,7 +392,6 @@ def test_scoring_reduces_each_window_once_over_the_subset(memo_world, monkeypatc
     assert len(subset) < len(store.prognostic)
     # one chunk per window: the evaluation window and the training window
     assert sorted(reads) == sorted(2 * subset)
-    assert set(store._cache) == set(subset)
     memo_reports(store, stats, memo_scored(store))
     assert len(reads) == 2 * len(subset)
 
