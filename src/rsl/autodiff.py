@@ -22,16 +22,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, ShapeError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 # When True, no graph is recorded (inference mode).
 _no_grad = False
-
-# When True, every op output is checked for NaN/Inf and the offending op is named.
-_trap_nonfinite = False
 
 
 class no_grad:
@@ -45,11 +42,6 @@ class no_grad:
     def __exit__(self, *exc):
         global _no_grad
         _no_grad = self._prev
-
-
-def set_nonfinite_trap(enabled: bool) -> None:
-    global _trap_nonfinite
-    _trap_nonfinite = enabled
 
 
 class Node:
@@ -102,14 +94,6 @@ class Tensor:
             raise ValueError("cannot set the gradient of a tensor that does not require grad")
 
     @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node.parents
-
-    @property
-    def _vjp(self) -> Callable | None:
-        return None if self._node is None else self._node.vjp
-
-    @property
     def shape(self) -> tuple:
         return self.data.shape
 
@@ -123,9 +107,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={self.op!r})"
@@ -148,8 +129,6 @@ def _node(t: Tensor) -> Node | None:
 
 
 def _out(data: np.ndarray, op: str, parents: Sequence[Node | None], vjp: Callable) -> Tensor:
-    if _trap_nonfinite and not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite values produced by op {op!r}")
     out = Tensor(data, op=op)
     parents = tuple(p for p in parents if p is not None)
     if parents and not _no_grad:
@@ -228,10 +207,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _out(a.data * a.data.dtype.type(s), "scalar-scale", (na,), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     na, nb = _node(a), _node(b)
     sa, sb = a.shape, b.shape
@@ -294,18 +269,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                 idx[axis] = slice(o, o + n)
                 _accum(node, g[tuple(idx)])
     return _out(np.concatenate([p.data for p in parts], axis=axis), "concat", nodes, vjp)
-
-
-def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Embedding-style lookup of rows along `axis`; adjoint scatter-adds."""
-    indices = np.asarray(indices)
-    na, sa = _node(a), a.shape
-
-    def vjp(g):
-        full = np.zeros(sa, dtype=g.dtype)
-        np.add.at(full, (slice(None),) * axis + (indices,), g)
-        _accum(na, full)
-    return _out(np.take(a.data, indices, axis=axis), "embedding-lookup", (na,), vjp)
 
 
 # ---------------------------------------------------------------- reductions
@@ -421,30 +384,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _out(xhat * w + bias.data, "layer-normalization", (na, ng, nb), vjp)
 
 
-# ---------------------------------------------------------------- contraction
-
-def einsum(spec: str, *ts: Tensor) -> Tensor:
-    """Linear contraction. Every index of each operand must also appear in the
-    output or another operand (plain contractions; no traces/diagonals)."""
-    lhs, out_spec = spec.replace(" ", "").split("->")
-    in_specs = lhs.split(",")
-    if len(in_specs) != len(ts):
-        raise ShapeError(f"einsum spec {spec!r} expects {len(in_specs)} operands")
-    nodes = [_node(t) for t in ts]
-    kept = [t.data for t in ts]
-
-    def vjp(g):
-        for i, node in enumerate(nodes):
-            if node is None:
-                continue
-            others = [s for j, s in enumerate(in_specs) if j != i]
-            arrs = [x for j, x in enumerate(kept) if j != i]
-            sub = ",".join([out_spec] + others) + "->" + in_specs[i]
-            _accum(node, np.einsum(sub, g, *arrs, optimize=True))
-    data = np.einsum(spec, *[t.data for t in ts], optimize=True)
-    return _out(data, "linear-contraction", nodes, vjp)
-
-
 # ---------------------------------------------------------------- real FFTs
 
 def rfft(a: Tensor) -> Tensor:
@@ -465,6 +404,21 @@ def rfft(a: Tensor) -> Tensor:
     return _out(np.stack([z.real, z.imag]), "real-FFT-1d", (na,), vjp)
 
 
+def _irfft_adjoint(g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of the length-`n` irfft along the last axis applied to `g`, as
+    (re, im) parts. Synthesis uses e^{+i.}, so the adjoint keeps +Im (unlike
+    rfft's pullback); the imaginary parts of the DC and Nyquist bins get none."""
+    spec = np.fft.rfft(g, axis=-1) / g.dtype.type(n)
+    gr = spec.real.copy()
+    gi = spec.imag.copy()
+    gr[..., 1 : (n + 1) // 2] *= 2.0
+    gi[..., 1 : (n + 1) // 2] *= 2.0
+    gi[..., 0] = 0.0
+    if n % 2 == 0:
+        gi[..., -1] = 0.0
+    return gr, gi
+
+
 def irfft(z: Tensor, n: int) -> Tensor:
     """Inverse of `rfft`: input (2, ..., n//2 + 1) stacked re/im, output (..., n).
 
@@ -478,16 +432,7 @@ def irfft(z: Tensor, n: int) -> Tensor:
     nz = _node(z)
 
     def vjp(g):
-        # Synthesis uses e^{+i.}, so the adjoint keeps +Im (unlike rfft's pullback).
-        spec = np.fft.rfft(g, axis=-1) / g.dtype.type(n)
-        gr = spec.real.copy()
-        gi = spec.imag.copy()
-        gr[..., 1 : (n + 1) // 2] *= 2.0
-        gi[..., 1 : (n + 1) // 2] *= 2.0
-        gi[..., 0] = 0.0
-        if n % 2 == 0:
-            gi[..., -1] = 0.0
-        _accum(nz, np.stack([gr, gi]))
+        _accum(nz, np.stack(_irfft_adjoint(g, n)))
     return _out(y, "inverse-real-FFT-1d", (nz,), vjp)
 
 
@@ -521,14 +466,7 @@ def irfft2(z: Tensor, shape: tuple[int, int]) -> Tensor:
     nz = _node(z)
 
     def vjp(g):
-        spec = np.fft.rfft(g, axis=-1) / g.dtype.type(ww)
-        gr = spec.real.copy()
-        gi = spec.imag.copy()
-        gr[..., 1 : (ww + 1) // 2] *= 2.0
-        gi[..., 1 : (ww + 1) // 2] *= 2.0
-        gi[..., 0] = 0.0
-        if ww % 2 == 0:
-            gi[..., -1] = 0.0
+        gr, gi = _irfft_adjoint(g, ww)
         gc = np.fft.fft(gr + 1j * gi, axis=-2) / hh
         _accum(nz, np.stack([gc.real, gc.imag]))
     return _out(y, "inverse-real-FFT-2d", (nz,), vjp)

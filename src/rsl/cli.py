@@ -5,14 +5,18 @@ failed with a non-finite loss (the record is still written). The run-artifact
 root defaults to ./runs and can be overridden with RSL_RUN_ROOT.
 
 A JSON experiment config file may carry the sections
-{dataset, variable_set, model, training, sweep, rollout, evaluation};
-unknown keys are rejected, flags take precedence over file values, and the
-fully resolved configuration is echoed into the run directory.
+{dataset, variable_set, model, training, sweep}, and every key it accepts is
+read; unknown keys are rejected, flags take precedence over file values, and
+the fully resolved configuration is echoed into the run directory as
+config.json. A config.json or stats.json this version cannot read (truncated,
+or written with other keys) exits 2, naming the file and the keys.
 """
 
 from __future__ import annotations
 
 import argparse
+import calendar
+import dataclasses
 import json
 import os
 import sys
@@ -25,7 +29,7 @@ from .atomic import write_json_atomic
 from .data import (DatasetStore, NormalizationStats, SyntheticConfig,
                    compute_normalization, forcing_provider,
                    generate_synthetic_climate, normalized_constants,
-                   parse_date, parse_timestamp, range_end, variable_set)
+                   parse_date, parse_timestamp, parse_variable_set, range_end)
 from .errors import ConfigError
 from .evaluate import climatology_baseline, rollout, stability_score
 from .grid import area_weights, make_grid
@@ -34,26 +38,40 @@ from .reports import write_report
 from .train import (SweepSpec, TrainConfig, run_id, run_sweep, run_training)
 from .verify import main_verify
 
+# Config-file key of the model section -> ModelSpec field it sets.
+_MODEL_KEYS = {"arch": "arch", "layers": "n_layers", "dim": "hidden_dim",
+               "patch": "patch_size", "heads": "n_heads", "mlp_ratio": "mlp_ratio",
+               "sparsity_threshold": "sparsity_threshold",
+               "hard_threshold_fraction": "hard_threshold_fraction",
+               "blocks": "n_blocks", "pos_embed": "use_pos_embed", "use_mlp": "use_mlp"}
+
 _SECTION_KEYS = {
-    "dataset": {"path", "seed", "years", "grid", "vars", "start_year", "out"},
-    "variable_set": {"name", "n_prognostic"},
-    "model": {"arch", "layers", "dim", "patch", "heads", "mlp_ratio",
-              "decoder_depth", "sparsity_threshold", "hard_threshold_fraction",
-              "blocks", "pos_embed", "big_skip", "use_mlp"},
+    "dataset": {"seed", "years", "grid", "vars", "start_year", "out"},
+    "variable_set": {"name"},
+    "model": set(_MODEL_KEYS),
     "training": {"m_steps", "seed", "batch_size", "epochs", "lr",
                  "train_start", "train_end", "val_start", "val_end",
                  "patience", "grad_clip", "replication"},
-    "sweep": {"archs", "variable_sets", "m_steps", "layers", "dims", "seeds",
-              "train_start", "train_end", "val_start", "val_end",
-              "batch_size", "epochs", "replication"},
-    "rollout": {"years", "steps", "start", "reference", "modes"},
-    "evaluation": {"modes"},
+    "sweep": {f.name for f in dataclasses.fields(SweepSpec)},
 }
 
 
+def _read_json(path, parse=lambda doc: doc):
+    """`parse` of the JSON document at `path`. A file that is not JSON, or
+    that `parse` rejects, raises ConfigError naming the file."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_config_file(path) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a config file must hold one JSON object")
     unknown = set(doc) - set(_SECTION_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -80,12 +98,6 @@ def _parse_grid(s: str):
     return make_grid(w, h)
 
 
-def _parse_vars(s: str):
-    if s.startswith("custom:"):
-        return variable_set("custom", int(s.split(":")[1]))
-    return variable_set(s)
-
-
 # ------------------------------------------------------------------ gen-data
 
 def cmd_gen_data(args) -> int:
@@ -95,7 +107,7 @@ def cmd_gen_data(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     years = args.years if args.years is not None else cfg.get("years", 3)
     grid = _parse_grid(args.grid or cfg.get("grid", "32x16"))
-    vs = _parse_vars(args.vars or cfg.get("vars", "vars8"))
+    vs = parse_variable_set(args.vars or cfg.get("vars", "vars8"))
     out = Path(args.out or cfg.get("out", "dataset"))
     start_year = args.start_year if args.start_year is not None else \
         cfg.get("start_year", 2006)
@@ -117,31 +129,22 @@ def cmd_gen_data(args) -> int:
 def _train_config_from(args) -> TrainConfig:
     doc = load_config_file(args.config) if args.config else {}
     tr = doc.get("training", {})
-    md = doc.get("model", {})
+    md = {_MODEL_KEYS[k]: v for k, v in doc.get("model", {}).items()}
     vs_name = args.vars or doc.get("variable_set", {}).get("name", "vars8")
-    vs = _parse_vars(vs_name)
-    arch = args.arch or md.get("arch")
+    vs = parse_variable_set(vs_name)
+    file_arch = md.pop("arch", None)
+    n_layers, hidden_dim = md.pop("n_layers", 4), md.pop("hidden_dim", 128)
+    arch = args.arch or file_arch
     if not arch:
         raise ConfigError("an architecture is required (--arch or config model.arch)")
-    overrides = {}
-    if md.get("patch"):
-        overrides["patch_size"] = tuple(md["patch"])
-    for k_file, k_spec in (("heads", "n_heads"), ("mlp_ratio", "mlp_ratio"),
-                           ("decoder_depth", "decoder_depth"),
-                           ("sparsity_threshold", "sparsity_threshold"),
-                           ("hard_threshold_fraction", "hard_threshold_fraction"),
-                           ("blocks", "n_blocks"), ("pos_embed", "use_pos_embed"),
-                           ("big_skip", "big_skip"), ("use_mlp", "use_mlp")):
-        if k_file in md:
-            overrides[k_spec] = md[k_file]
-    replication = (args.replication if args.replication is not None
-                   else tr.get("replication", False))
+    if "patch_size" in md:
+        md["patch_size"] = tuple(md["patch_size"])
     spec = model_spec(
         arch,
-        n_layers=args.layers if args.layers is not None else md.get("layers", 4),
-        hidden_dim=args.dim if args.dim is not None else md.get("dim", 128),
+        n_layers=args.layers if args.layers is not None else n_layers,
+        hidden_dim=args.dim if args.dim is not None else hidden_dim,
         n_prognostic=vs.n_prognostic, n_forcing=len(vs.forcings),
-        n_constant=len(vs.constants), replication=replication, **overrides)
+        n_constant=len(vs.constants), **md)
 
     def pick(flag, key, default):
         v = getattr(args, flag, None)
@@ -161,7 +164,7 @@ def _train_config_from(args) -> TrainConfig:
         epochs=pick("epochs", "epochs", 5),
         early_stop_patience=pick("patience", "patience", 5),
         grad_clip_norm=pick("grad_clip", "grad_clip", 0.001),
-        replication=replication)
+        replication=pick("replication", "replication", False))
 
 
 def cmd_train(args) -> int:
@@ -179,7 +182,12 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------ rollout
 
 def _calendar_steps(start: datetime, years: int) -> int:
-    end = datetime(start.year + years, start.month, start.day, start.hour)
+    """Steps from `start` to its `years`-th anniversary; from 29 February the
+    period ends on 28 February when the target year has no leap day."""
+    year = start.year + years
+    day = 28 if (start.month, start.day) == (2, 29) and not calendar.isleap(year) \
+        else start.day
+    end = datetime(year, start.month, day, start.hour)
     return int((end - start).total_seconds()) // (6 * 3600)
 
 
@@ -190,10 +198,8 @@ def cmd_rollout(args) -> int:
     ckpt = run_dir / "best.ckpt"
     if not ckpt.exists():
         raise ConfigError(f"no checkpoint under {run_dir}")
-    with open(run_dir / "config.json") as f:
-        cfg = TrainConfig.from_json(json.load(f))
-    with open(run_dir / "stats.json") as f:
-        stats = NormalizationStats.from_json(json.load(f))
+    cfg = _read_json(run_dir / "config.json", TrainConfig.from_json)
+    stats = _read_json(run_dir / "stats.json", NormalizationStats.from_json)
     reference = DatasetStore.open(args.reference)
     train_store = DatasetStore.open(args.data) if args.data else reference
 

@@ -81,6 +81,16 @@ def variable_set(name: str, n_prognostic: int | None = None) -> VariableSet:
     raise ConfigError(f"unknown variable set {name!r}")
 
 
+def parse_variable_set(spelled: str) -> VariableSet:
+    """The variable set a flag or config names: 'vars8', 'vars33' or 'custom:K'."""
+    name, colon, count = spelled.partition(":")
+    if not colon:
+        return variable_set(spelled)
+    if name != "custom" or not count.isdecimal():
+        raise ConfigError(f"bad variable set {spelled!r}: expected vars8, vars33 or custom:K")
+    return variable_set("custom", int(count))
+
+
 # ---------------------------------------------------------------- time axis
 
 def parse_date(s: str) -> datetime:
@@ -169,10 +179,6 @@ class NormalizationStats:
     def normalize(self, name: str, x: np.ndarray) -> np.ndarray:
         mu, sd = self.values[name]
         return (x - mu) / sd
-
-    def denormalize(self, name: str, x: np.ndarray) -> np.ndarray:
-        mu, sd = self.values[name]
-        return x * sd + mu
 
     def to_json(self) -> dict:
         return {"range": list(self.range) if self.range else None,
@@ -335,6 +341,8 @@ class DatasetStore:
         over steps [i0, i0 + n), streamed in 4096-step chunks.
 
         Each window is reduced once per store; the caller gets its own copies."""
+        if n < 1:
+            raise ConfigError(f"{var}: empty window of {n} steps at step {i0}")
         memo = self._moments.setdefault(var, {})
         if (i0, n) not in memo:
             s = np.zeros(self.grid.shape)
@@ -358,10 +366,6 @@ class DatasetStore:
 
     def save_stats(self, stats: NormalizationStats) -> None:
         write_json_atomic(self.root / "stats.json", stats.to_json())
-
-    def load_stats(self) -> NormalizationStats:
-        with open(self.root / "stats.json") as f:
-            return NormalizationStats.from_json(json.load(f))
 
 
 def _open_f4(path, shape: tuple[int, ...]):

@@ -18,20 +18,17 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import autodiff as ad
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError, dataclass_kwargs
 from .grid import GridSpec
 from .spectral import SHTPlan, plan_sht, sht_forward_t, sht_inverse_t
 
 ARCHS = ("climax", "fcn", "sfno")
-REPLICATION_LAYERS = (4, 6, 8)
-REPLICATION_DIMS = (128, 256, 512)
 
 _ARCH_DEFAULTS = {
-    "climax": dict(patch_size=(2, 2), n_heads=8, decoder_depth=2, mlp_ratio=4.0,
-                   use_pos_embed=True),
+    "climax": dict(patch_size=(2, 2), n_heads=8, mlp_ratio=4.0, use_pos_embed=True),
     "fcn": dict(patch_size=(1, 1), n_blocks=4, sparsity_threshold=0.01,
                 hard_threshold_fraction=1.0, mlp_ratio=4.0, use_pos_embed=False),
-    "sfno": dict(patch_size=(1, 1), big_skip=False, use_mlp=True, mlp_ratio=2.0,
+    "sfno": dict(patch_size=(1, 1), use_mlp=True, mlp_ratio=2.0,
                  hard_threshold_fraction=1.0, use_pos_embed=False),
 }
 
@@ -47,14 +44,11 @@ class ModelSpec:
     patch_size: tuple[int, int] = (1, 1)
     n_heads: int = 8
     mlp_ratio: float = 4.0
-    decoder_depth: int = 2
     sparsity_threshold: float = 0.01
     hard_threshold_fraction: float = 1.0
     n_blocks: int = 4
     use_pos_embed: bool = False
-    big_skip: bool = False
     use_mlp: bool = True
-    replication: bool = False
 
     @property
     def n_inputs(self) -> int:
@@ -67,22 +61,21 @@ class ModelSpec:
 
     @staticmethod
     def from_json(d: dict) -> "ModelSpec":
-        d = dict(d)
+        d = dataclass_kwargs(ModelSpec, d, "model")
         d["patch_size"] = tuple(d.get("patch_size", (1, 1)))
         return ModelSpec(**d)
 
 
 def model_spec(arch: str, n_layers: int, hidden_dim: int, n_prognostic: int,
-               n_forcing: int = 1, n_constant: int = 4, replication: bool = False,
-               **overrides) -> ModelSpec:
+               n_forcing: int = 1, n_constant: int = 4, **fields) -> ModelSpec:
     """Build a ModelSpec with the architecture's locked defaults applied."""
     if arch not in ARCHS:
         raise ConfigError(f"unknown architecture {arch!r}, expected one of {ARCHS}")
     kw = dict(_ARCH_DEFAULTS[arch])
-    kw.update(overrides)
+    kw.update(fields)
     return ModelSpec(arch=arch, n_layers=n_layers, hidden_dim=hidden_dim,
                      n_prognostic=n_prognostic, n_forcing=n_forcing,
-                     n_constant=n_constant, replication=replication, **kw)
+                     n_constant=n_constant, **kw)
 
 
 def validate_spec(spec: ModelSpec, grid: GridSpec) -> None:
@@ -90,13 +83,6 @@ def validate_spec(spec: ModelSpec, grid: GridSpec) -> None:
         raise ConfigError(f"unknown architecture {spec.arch!r}")
     if spec.n_layers < 1 or spec.hidden_dim < 1 or spec.n_prognostic < 1:
         raise ConfigError("n_layers, hidden_dim and n_prognostic must be positive")
-    if spec.replication:
-        if spec.n_layers not in REPLICATION_LAYERS:
-            raise ConfigError(
-                f"replication mode requires n_layers in {REPLICATION_LAYERS}, got {spec.n_layers}")
-        if spec.hidden_dim not in REPLICATION_DIMS:
-            raise ConfigError(
-                f"replication mode requires hidden_dim in {REPLICATION_DIMS}, got {spec.hidden_dim}")
     if spec.arch == "climax" and spec.hidden_dim % spec.n_heads != 0:
         raise ConfigError(
             f"hidden_dim {spec.hidden_dim} not divisible by n_heads {spec.n_heads}")

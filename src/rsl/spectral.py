@@ -38,10 +38,6 @@ class SHTPlan:
     legendre_table: np.ndarray   # (lmax+1, mmax+1, H) float64, zero for m > l
     quadrature_weights: np.ndarray  # (H,) float64, sum 4*pi
 
-    @property
-    def n_coeffs(self) -> int:
-        return sum(self.lmax - m + 1 for m in range(self.mmax + 1))
-
 
 def _legendre_recurrence(lmax: int, mmax: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal associated Legendre values P̄_lm(x) via the standard

@@ -24,9 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_path, write_json_atomic
 from .data import (DatasetStore, NormalizationStats, compute_normalization,
-                   load_batch, parse_date, sample_index, variable_set)
-from .errors import ConfigError, NonFiniteError
-from .grid import area_weights
+                   load_batch, parse_date, parse_variable_set, sample_index)
+from .errors import ConfigError, NonFiniteError, dataclass_kwargs
+from .grid import AreaWeights, area_weights
 from .models import (ModelSpec, ModelState, build_model, model_forward_t,
                      model_spec)
 
@@ -41,6 +41,8 @@ REPLICATION_PATIENCE = 5
 REPLICATION_CLIP = 0.001
 REPLICATION_BATCH = 64
 REPLICATION_M = (1, 2, 4)
+REPLICATION_LAYERS = (4, 6, 8)
+REPLICATION_DIMS = (128, 256, 512)
 PAPER_SEEDS = (597, 1152, 1826, 3909, 6153, 5513, 5707, 9813, 9941, 9982)
 
 
@@ -72,7 +74,7 @@ class TrainConfig:
 
     @staticmethod
     def from_json(d: dict) -> "TrainConfig":
-        d = dict(d)
+        d = dataclass_kwargs(TrainConfig, d, "config")
         d["model"] = ModelSpec.from_json(d["model"])
         return TrainConfig(**d)
 
@@ -91,8 +93,12 @@ def validate_train_config(cfg: TrainConfig) -> None:
             raise ConfigError("replication mode locks gradient clipping to 0.001")
         if cfg.lr_init is not None and cfg.lr_init != REPLICATION_LR[cfg.model.arch]:
             raise ConfigError("replication mode locks the initial learning rate")
-        if not cfg.model.replication:
-            raise ConfigError("replication mode requires a replication-mode model spec")
+        if cfg.model.n_layers not in REPLICATION_LAYERS:
+            raise ConfigError(f"replication mode requires n_layers in {REPLICATION_LAYERS}, "
+                              f"got {cfg.model.n_layers}")
+        if cfg.model.hidden_dim not in REPLICATION_DIMS:
+            raise ConfigError(f"replication mode requires hidden_dim in {REPLICATION_DIMS}, "
+                              f"got {cfg.model.hidden_dim}")
 
 
 def run_id(cfg: TrainConfig) -> str:
@@ -102,7 +108,8 @@ def run_id(cfg: TrainConfig) -> str:
 
 # ------------------------------------------------------------------ loss
 
-def multi_step_loss(state: ModelState, x_seq, f_seq, c, weights,
+def multi_step_loss(state: ModelState, x_seq: list[np.ndarray], f_seq: list[np.ndarray],
+                    c: np.ndarray, weights: AreaWeights,
                     step_terms: list | None = None) -> ad.Tensor:
     """L = (1/M) sum_m mean_{batch,k} area_mean((Xhat_{m+1} - X_{m+1})^2),
     with Xhat fed forward from the model's own predictions.
@@ -112,29 +119,22 @@ def multi_step_loss(state: ModelState, x_seq, f_seq, c, weights,
     m_steps = len(f_seq)
     if len(x_seq) != m_steps + 1:
         raise ConfigError(f"need {m_steps + 1} states for {m_steps} steps")
-    w = weights.weights if hasattr(weights, "weights") else np.asarray(weights)
-    cur = x_seq[0] if isinstance(x_seq[0], ad.Tensor) else ad.Tensor(np.asarray(x_seq[0]))
-    cc = c if isinstance(c, ad.Tensor) else ad.Tensor(np.asarray(c))
-    if cc.data.ndim == 3:
-        cc = ad.Tensor(np.broadcast_to(cc.data, (cur.shape[0],) + cc.data.shape))
+    cur = ad.Tensor(x_seq[0])
+    cc = ad.Tensor(c)
     total = None
     for m in range(m_steps):
-        ff = f_seq[m] if isinstance(f_seq[m], ad.Tensor) else ad.Tensor(np.asarray(f_seq[m]))
-        cur = ad.add(cur, model_forward_t(state, cur, ff, cc))
-        tgt = x_seq[m + 1] if isinstance(x_seq[m + 1], ad.Tensor) else \
-            ad.Tensor(np.asarray(x_seq[m + 1]))
-        diff = ad.sub(cur, tgt)
-        term = ad.mean_(ad.lat_weighted_mean(ad.mul(diff, diff), w))
+        cur = ad.add(cur, model_forward_t(state, cur, ad.Tensor(f_seq[m]), cc))
+        diff = ad.sub(cur, ad.Tensor(x_seq[m + 1]))
+        term = ad.mean_(ad.lat_weighted_mean(ad.mul(diff, diff), weights.weights))
         if step_terms is not None:
             step_terms.append(float(term.data))
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / m_steps)
 
 
-def persistence_loss(x_seq, weights) -> float:
+def persistence_loss(x_seq: list[np.ndarray], weights: AreaWeights) -> float:
     """The same objective for the trivial f=0 model (no graph)."""
-    w = np.asarray(weights.weights if hasattr(weights, "weights") else weights,
-                   np.float64)
+    w = np.asarray(weights.weights, np.float64)
     x0 = np.asarray(x_seq[0], np.float64)
     h, ww = x0.shape[-2:]
     total = 0.0
@@ -276,26 +276,22 @@ def train(cfg: TrainConfig, store: DatasetStore,
             ad.zero_grads(state.params.values())
             loss = multi_step_loss(state, x_seq, f_seq, c, weights)
             lval = loss.item()
+            reason = None
             if not np.isfinite(lval):
+                reason = "non-finite training loss"
+            else:
+                ad.backward(loss)
+                grads = {k: p.grad for k, p in state.params.items() if p.grad is not None}
+                try:
+                    grads, _ = clip_grad_norm(grads, cfg.grad_clip_norm)
+                except NonFiniteError:
+                    reason = "non-finite gradient norm"
+            if reason is not None:
                 record.status = "failed"
                 record.stopped_epoch = epoch
-                record.diagnostics = {"reason": "non-finite training loss",
-                                      "run_id": run_id(cfg), "epoch": epoch,
-                                      "batch": b_idx, "seed": cfg.seed}
-                log(f"FAILED at epoch {epoch} batch {b_idx}: loss={lval}")
-                if best_params is not None:
-                    _assign(state, best_params)
-                return state, record, stats
-            ad.backward(loss)
-            grads = {k: p.grad for k, p in state.params.items() if p.grad is not None}
-            try:
-                grads, _ = clip_grad_norm(grads, cfg.grad_clip_norm)
-            except NonFiniteError:
-                record.status = "failed"
-                record.stopped_epoch = epoch
-                record.diagnostics = {"reason": "non-finite gradient norm",
-                                      "run_id": run_id(cfg), "epoch": epoch,
-                                      "batch": b_idx, "seed": cfg.seed}
+                record.diagnostics = {"reason": reason, "run_id": run_id(cfg),
+                                      "epoch": epoch, "batch": b_idx, "seed": cfg.seed}
+                log(f"FAILED at epoch {epoch} batch {b_idx}: {reason} (loss={lval})")
                 if best_params is not None:
                     _assign(state, best_params)
                 return state, record, stats
@@ -370,11 +366,10 @@ class SweepSpec:
     batch_size: int = REPLICATION_BATCH
     epochs: int = REPLICATION_EPOCHS
     replication: bool = False
-    overrides: dict = field(default_factory=dict)   # extra ModelSpec fields
 
     @staticmethod
     def from_json(d: dict) -> "SweepSpec":
-        return SweepSpec(**d)
+        return SweepSpec(**dataclass_kwargs(SweepSpec, d, "config section 'sweep'"))
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -385,8 +380,7 @@ def enumerate_runs(sweep: SweepSpec) -> list[TrainConfig]:
     out = []
     for arch in sweep.archs:
         for vs_name in sweep.variable_sets:
-            vs = variable_set(vs_name) if not vs_name.startswith("custom:") else \
-                variable_set("custom", int(vs_name.split(":")[1]))
+            vs = parse_variable_set(vs_name)
             for m in sweep.m_steps:
                 for layers in sweep.layers:
                     for dim in sweep.dims:
@@ -394,9 +388,7 @@ def enumerate_runs(sweep: SweepSpec) -> list[TrainConfig]:
                             spec = model_spec(
                                 arch, layers, dim, vs.n_prognostic,
                                 n_forcing=len(vs.forcings),
-                                n_constant=len(vs.constants),
-                                replication=sweep.replication,
-                                **sweep.overrides)
+                                n_constant=len(vs.constants))
                             out.append(TrainConfig(
                                 model=spec, m_steps=m, seed=seed,
                                 variable_set=vs_name,

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import shutil
+from datetime import datetime
 
 import numpy as np
 import pytest
 
-from rsl.cli import main
+from rsl.cli import _calendar_steps, main
 from rsl.data import DatasetStore
 
 
@@ -68,6 +70,13 @@ def test_gen_data_force_is_bit_identical(cli_store, tmp_path):
 def test_gen_data_rejects_odd_width(tmp_path, capsys):
     assert run_cli("gen-data", "--grid", "7x4", "--out", str(tmp_path / "x")) == 2
     assert "even" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelled", ["custom:x", "custom:", "vars8:3"])
+def test_gen_data_malformed_custom_vars_exit2(tmp_path, capsys, spelled):
+    assert run_cli("gen-data", "--vars", spelled, "--out", str(tmp_path / "x")) == 2
+    assert spelled in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_data_three_years_vars8_step_count(tmp_path):
@@ -149,6 +158,34 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
     cfg.write_text(json.dumps({"not_a_section": {}}))
     assert run_cli("train", "--config", str(cfg), "--data", "nowhere") == 2
+    # Sections and keys that nothing reads are not accepted either.
+    for doc, key in (({"rollout": {"years": 10}}, "rollout"),
+                     ({"evaluation": {"modes": ["mean"]}}, "evaluation"),
+                     ({"dataset": {"path": "ds"}}, "path"),
+                     ({"variable_set": {"name": "vars8", "n_prognostic": 8}}, "n_prognostic"),
+                     ({"model": {"arch": "sfno", "decoder_depth": 2}}, "decoder_depth"),
+                     ({"model": {"arch": "sfno", "big_skip": True}}, "big_skip")):
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg), "--data", "nowhere") == 2, key
+        assert key in capsys.readouterr().err
+
+
+def test_config_file_model_keys_reach_the_spec(cli_store, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "variable_set": {"name": "custom:3"},
+        "model": {"arch": "climax", "layers": 1, "dim": 8, "patch": [1, 2],
+                  "heads": 2, "mlp_ratio": 2.0, "pos_embed": False},
+        "training": {"epochs": 1, "batch_size": 64, "train_start": "2006-01-01",
+                     "train_end": "2006-01-31", "val_start": "2006-02-01",
+                     "val_end": "2006-02-07"}}))
+    run = tmp_path / "r"
+    assert run_cli("train", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-dir", str(run)) == 0
+    model = json.loads((run / "config.json").read_text())["model"]
+    assert (model["arch"], model["n_layers"], model["hidden_dim"]) == ("climax", 1, 8)
+    assert model["patch_size"] == [1, 2] and model["n_heads"] == 2
+    assert model["mlp_ratio"] == 2.0 and model["use_pos_embed"] is False
 
 
 # ----------------------------------------------------------------- rollout
@@ -180,6 +217,40 @@ def test_rollout_years_flag_calendar_steps(cli_run, cli_store, tmp_path):
                    "--start", "2007-01-01T00:00:00", "--years", "1") == 0
     meta = json.loads((cp / "rollout" / "meta.json").read_text())
     assert meta["steps"] == 1460      # 365 days x 4 in 2007
+
+
+def test_calendar_steps_from_a_leap_day():
+    # 2008-02-29 to 2018-02-28: 3652 days; to 2012-02-29: 1461 days.
+    assert _calendar_steps(datetime(2008, 2, 29), 10) == 14608
+    assert _calendar_steps(datetime(2008, 2, 29, 18), 4) == 5844
+    assert _calendar_steps(datetime(2007, 1, 1), 1) == 1460
+
+
+def test_rollout_of_a_run_this_version_did_not_write_exit2(cli_run, cli_store, tmp_path,
+                                                            capsys):
+    old = tmp_path / "old_run"
+    shutil.copytree(cli_run, old)
+    args = ("rollout", "--run", str(old), "--reference", str(cli_store), "--steps", "8")
+    doc = json.loads((cli_run / "config.json").read_text())
+    doc["model"].update(decoder_depth=2, big_skip=False)      # keys an older rsl wrote
+    (old / "config.json").write_text(json.dumps(doc))
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "decoder_depth" in err and "big_skip" in err
+    del doc["seed"]
+    (old / "config.json").write_text(json.dumps(doc))
+    assert run_cli(*args) == 2
+    assert "missing required keys ['seed']" in capsys.readouterr().err
+    (old / "config.json").write_text((cli_run / "config.json").read_text()[:-40])
+    assert run_cli(*args) == 2
+    assert "config.json" in capsys.readouterr().err
+    shutil.copy(cli_run / "config.json", old / "config.json")
+    (old / "stats.json").write_text('{"range": null}')
+    assert run_cli(*args) == 2
+    assert "stats.json" in capsys.readouterr().err
+    (old / "stats.json").write_text((cli_run / "stats.json").read_text()[:-10])
+    assert run_cli(*args) == 2
+    assert "stats.json" in capsys.readouterr().err
 
 
 def test_rollout_blowup_contract(cli_run, cli_store, tmp_path):
@@ -274,6 +345,17 @@ def cli_sweep(cli_store, tmp_path_factory):
                        "--start", "2007-06-01T00:00:00", "--steps", "160",
                        "--run-root", str(root)) == 0
     return root
+
+
+def test_sweep_section_missing_keys_exit2(cli_store, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": {
+        "archs": ["sfno"], "variable_sets": ["custom:3"], "m_steps": [1],
+        "layers": [1], "dims": [8]}}))
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(tmp_path / "root")) == 2
+    assert "missing required keys ['seeds']" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()
 
 
 def test_sweep_manifest(cli_sweep):

@@ -194,8 +194,11 @@ def test_read_steps_negative_rejected(small_store):
 
 def test_window_moments_past_the_end_rejected(small_store):
     n = small_store.n_steps
-    with pytest.raises(ConfigError, match=rf"vas: steps \[{n - 10}, {n + 10}\)"):
-        small_store.window_moments("vas", n - 10, 20)
+    for i0, count, match in ((n - 10, 20, rf"vas: steps \[{n - 10}, {n + 10}\)"),
+                             (100, 0, r"vas: empty window of 0 steps at step 100"),
+                             (100, -5, r"vas: empty window of -5 steps at step 100")):
+        with pytest.raises(ConfigError, match=match):
+            small_store.window_moments("vas", i0, count)
 
 
 def test_stats_json_survives_a_failed_write(small_store, tmp_path, monkeypatch):
@@ -295,14 +298,6 @@ def test_normalized_training_data_is_zscored(small_store):
     z = stats.normalize("tas", small_store.read_range("tas", 0, i1).astype(np.float64))
     assert abs(z.mean()) < 1e-3
     assert abs(z.std() - 1.0) < 1e-3
-
-
-def test_denormalize_inverts(small_store):
-    stats = D.compute_normalization(small_store, datetime(2006, 1, 1),
-                                    datetime(2006, 12, 31))
-    x = small_store.read_range("uas", 5, 9)
-    back = stats.denormalize("uas", stats.normalize("uas", x))
-    assert np.abs(back - x).max() / np.abs(x).max() < 1e-5
 
 
 # ------------------------------------------------------------- generator

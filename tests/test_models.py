@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rsl import autodiff as ad
 from rsl.errors import ConfigError, NonFiniteError
 from rsl.grid import make_grid
-from rsl.models import (afno_block, build_model, climax_encode, model_forward,
-                        model_forward_t, model_spec, parameter_count,
-                        sfno_block, validate_spec)
+from rsl.models import (ModelSpec, afno_block, build_model, climax_encode,
+                        model_forward, model_forward_t, model_spec,
+                        parameter_count, sfno_block, validate_spec)
 
 GRID = make_grid(8, 4)
 KP, KF, KC = 2, 1, 2
@@ -141,29 +143,58 @@ def test_validate_rejects_bad_configs():
         validate_spec(toy_spec("fcn", hidden_dim=18), GRID)      # 18 % 4 != 0
     with pytest.raises(ConfigError):
         validate_spec(toy_spec("climax", patch_size=(3, 3)), GRID)
-    with pytest.raises(ConfigError):
-        build_model(model_spec("sfno", 5, 128, KP, replication=True), GRID, 0)
-    with pytest.raises(ConfigError):
-        build_model(model_spec("sfno", 4, 100, KP, replication=True), GRID, 0)
-
-
-def test_replication_mode_accepts_paper_dims():
-    spec = model_spec("sfno", 4, 128, KP, n_forcing=KF, n_constant=KC,
-                      replication=True)
-    validate_spec(spec, GRID)
 
 
 def test_table1_defaults():
     cx = model_spec("climax", 4, 128, 8)
     assert cx.patch_size == (2, 2) and cx.n_heads == 8
-    assert cx.decoder_depth == 2 and cx.mlp_ratio == 4.0
+    assert cx.mlp_ratio == 4.0
     fc = model_spec("fcn", 4, 128, 8)
     assert fc.patch_size == (1, 1) and fc.n_blocks == 4
     assert fc.sparsity_threshold == 0.01 and fc.hard_threshold_fraction == 1.0
     assert fc.use_pos_embed is False
     sf = model_spec("sfno", 4, 128, 8)
-    assert sf.big_skip is False and sf.use_mlp is True
+    assert sf.use_mlp is True
     assert sf.hard_threshold_fraction == 1.0 and sf.use_pos_embed is False
+
+
+# A value other than the toy default for every ModelSpec field. The spec feeds
+# run_id, so a field that no architecture reads would give one experiment
+# several run ids.
+OTHER_VALUES = {
+    "arch": "fcn", "n_layers": 3, "hidden_dim": 32, "n_prognostic": KP + 1,
+    "n_forcing": KF + 1, "n_constant": KC + 1, "patch_size": (1, 2), "n_heads": 4,
+    "mlp_ratio": 3.0, "sparsity_threshold": 0.5, "hard_threshold_fraction": 0.5,
+    "n_blocks": 2, "use_pos_embed": True, "use_mlp": False,
+}
+
+
+def _models_differ(spec_a, spec_b):
+    """Different parameter shapes, or different outputs under the same
+    non-zero weights and inputs."""
+    a, b = (build_model(s, GRID, seed=0) for s in (spec_a, spec_b))
+    if {k: p.shape for k, p in a.params.items()} != {k: p.shape for k, p in b.params.items()}:
+        return True
+    for st in (a, b):
+        rng = np.random.default_rng(1)
+        for k in sorted(st.params):
+            st.params[k].data = (rng.standard_normal(st.params[k].shape) * 0.1).astype(np.float32)
+    x, f, c = toy_inputs()
+    out_a, out_b = model_forward(a, x, f, c), model_forward(b, x, f, c)
+    assert np.all(np.isfinite(out_a)) and np.all(np.isfinite(out_b))
+    return not np.array_equal(out_a, out_b)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelSpec)])
+def test_every_spec_field_changes_the_model(name):
+    assert name in OTHER_VALUES, f"give ModelSpec.{name} a non-default value here"
+    changed = []
+    for arch in ("sfno", "fcn", "climax"):
+        base = toy_spec(arch)
+        other = dataclasses.replace(base, **{name: OTHER_VALUES[name]})
+        if other != base and _models_differ(base, other):
+            changed.append(arch)
+    assert changed, f"ModelSpec.{name} changes no architecture's parameters or output"
 
 
 def test_forward_rejects_nonfinite():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import numpy as np
@@ -210,12 +211,17 @@ def test_clip_rejects_nonfinite():
 # ------------------------------------------------------------------ config
 
 def test_replication_mode_locks_protocol():
-    spec = model_spec("sfno", 4, 128, 8, replication=True)
+    spec = model_spec("sfno", 4, 128, 8)
     ok = T.TrainConfig(model=spec, m_steps=2, seed=597, variable_set="vars8",
                        train_start="1979-01-01", train_end="2007-12-31",
                        val_start="2008-01-01", val_end="2008-12-31",
                        replication=True)
     T.validate_train_config(ok)
+    for layers, dim in ((5, 128), (4, 100)):    # outside the paper's L and D
+        off_grid = dataclasses.replace(ok, model=model_spec("sfno", layers, dim, 8))
+        with pytest.raises(ConfigError, match="replication mode requires"):
+            T.validate_train_config(off_grid)
+        T.validate_train_config(dataclasses.replace(off_grid, replication=False))
     bad = T.TrainConfig(model=spec, m_steps=3, seed=597, variable_set="vars8",
                         train_start="1979-01-01", train_end="2007-12-31",
                         val_start="2008-01-01", val_end="2008-12-31",
