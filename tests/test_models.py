@@ -145,6 +145,19 @@ def test_validate_rejects_bad_configs():
         validate_spec(toy_spec("climax", patch_size=(3, 3)), GRID)
 
 
+def test_replication_mode_accepts_paper_dims():
+    from rsl import train as T
+    for arch in ("sfno", "fcn", "climax"):
+        for layers in T.REPLICATION_LAYERS:
+            for dim in T.REPLICATION_DIMS:
+                spec = model_spec(arch, layers, dim, KP, n_forcing=KF, n_constant=KC)
+                validate_spec(spec, GRID)
+                T.validate_train_config(T.TrainConfig(
+                    model=spec, m_steps=2, seed=597, variable_set="vars8",
+                    train_start="1979-01-01", train_end="2007-12-31",
+                    val_start="2008-01-01", val_end="2008-12-31", replication=True))
+
+
 def test_table1_defaults():
     cx = model_spec("climax", 4, 128, 8)
     assert cx.patch_size == (2, 2) and cx.n_heads == 8
