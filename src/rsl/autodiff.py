@@ -537,17 +537,24 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 def check_gradients(fn: Callable[[], Tensor], params: dict[str, Tensor],
                     eps: float = 1e-3, sample: int | None = None,
                     seed: int = 0) -> float:
-    """Max relative error between reverse-mode and central finite differences.
+    """Max relative error between reverse-mode and finite differences.
 
     `fn` evaluates the scalar loss from the current values of `params`; run it
     with float64 tensors. When `sample` is given, only that many randomly
-    chosen components per parameter are probed.
+    chosen components per parameter are probed. Each component is probed by
+    central differences at steps `eps` and `eps / 2`, combined by Richardson
+    extrapolation, so the O(eps^2) truncation error cancels. A component's
+    error is relative to the larger of its two values, or to 1e-8 times the
+    largest gradient component (at least 1e-8) if that is larger: below that
+    level the float64 round-off of the differences, not the gradient, sets
+    the error.
     """
     loss = fn()
     zero_grads(params.values())
     backward(loss)
     grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for k, p in params.items()}
+    floor = 1e-8 * max([1.0] + [float(np.abs(g).max()) for g in grads.values() if g.size])
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, p in params.items():
@@ -557,16 +564,20 @@ def check_gradients(fn: Callable[[], Tensor], params: dict[str, Tensor],
             rng.choice(n, size=sample, replace=False)
         for i in idxs:
             keep = flat[i]
-            flat[i] = keep + eps
-            with no_grad():
-                up = fn().item()
-            flat[i] = keep - eps
-            with no_grad():
-                dn = fn().item()
-            flat[i] = keep
-            fd = (up - dn) / (2.0 * eps)
+
+            def central(h):
+                flat[i] = keep + h
+                with no_grad():
+                    up = fn().item()
+                flat[i] = keep - h
+                with no_grad():
+                    dn = fn().item()
+                flat[i] = keep
+                return (up - dn) / (2.0 * h)
+
+            fd = (4.0 * central(eps / 2) - central(eps)) / 3.0
             ad = float(grads[name].reshape(-1)[i])
-            rel = abs(ad - fd) / max(abs(ad), abs(fd), 1e-8)
+            rel = abs(ad - fd) / max(abs(ad), abs(fd), floor)
             worst = max(worst, rel)
     return worst
 

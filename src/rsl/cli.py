@@ -6,8 +6,10 @@ root defaults to ./runs and can be overridden with RSL_RUN_ROOT.
 
 A JSON experiment config file may carry the sections
 {dataset, variable_set, model, training, sweep}, and every key it accepts is
-read; unknown keys are rejected, flags take precedence over file values, and
-the fully resolved configuration is echoed into the run directory as
+read; unknown keys and values of the wrong type are rejected. `rsl train` is a
+one-point grid and `rsl sweep` a full one, both built by `enumerate_runs`: a
+flag wins over the file, and the file over the dataclass default. The fully
+resolved configuration is echoed into the run directory as
 config.json. A config.json or stats.json this version cannot read (truncated,
 or written with other keys) exits 2, naming the file and the keys.
 """
@@ -29,31 +31,42 @@ from .atomic import write_json_atomic
 from .data import (DatasetStore, NormalizationStats, SyntheticConfig,
                    compute_normalization, forcing_provider,
                    generate_synthetic_climate, normalized_constants,
-                   parse_date, parse_timestamp, parse_variable_set, range_end)
-from .errors import ConfigError
+                   parse_date, parse_timestamp, parse_variable_set, range_end,
+                   spell_variable_set)
+from .errors import ConfigError, check_type
 from .evaluate import climatology_baseline, rollout, stability_score
 from .grid import area_weights, make_grid
-from .models import build_model, model_spec
+from .models import ModelSpec, build_model
 from .reports import write_report
-from .train import (SweepSpec, TrainConfig, run_id, run_sweep, run_training)
+from .train import (SweepSpec, TrainConfig, check_variables, enumerate_runs,
+                    run_id, run_sweep, run_training)
 from .verify import main_verify
 
-# Config-file key of the model section -> ModelSpec field it sets.
-_MODEL_KEYS = {"arch": "arch", "layers": "n_layers", "dim": "hidden_dim",
-               "patch": "patch_size", "heads": "n_heads", "mlp_ratio": "mlp_ratio",
-               "sparsity_threshold": "sparsity_threshold",
-               "hard_threshold_fraction": "hard_threshold_fraction",
-               "blocks": "n_blocks", "pos_embed": "use_pos_embed", "use_mlp": "use_mlp"}
-
-_SECTION_KEYS = {
-    "dataset": {"seed", "years", "grid", "vars", "start_year", "out"},
-    "variable_set": {"name"},
-    "model": set(_MODEL_KEYS),
-    "training": {"m_steps", "seed", "batch_size", "epochs", "lr",
-                 "train_start", "train_end", "val_start", "val_end",
-                 "patience", "grad_clip", "replication"},
-    "sweep": {f.name for f in dataclasses.fields(SweepSpec)},
+# Config-file section -> the dataclass its values set, and each key -> the field
+# it sets (`rsl train`'s flags carry the key names). The dataset keys grid, vars
+# and out set no field directly: they are strings that gen-data parses.
+_SECTIONS = {
+    "dataset": (SyntheticConfig, {"seed": "seed", "years": "years",
+                                  "start_year": "start_year",
+                                  "grid": None, "vars": None, "out": None}),
+    "variable_set": (TrainConfig, {"name": "variable_set"}),
+    "model": (ModelSpec, {
+        "arch": "arch", "layers": "n_layers", "dim": "hidden_dim",
+        "patch": "patch_size", "heads": "n_heads", "mlp_ratio": "mlp_ratio",
+        "sparsity_threshold": "sparsity_threshold",
+        "hard_threshold_fraction": "hard_threshold_fraction",
+        "blocks": "n_blocks", "pos_embed": "use_pos_embed", "use_mlp": "use_mlp"}),
+    "training": (TrainConfig, {
+        "m_steps": "m_steps", "seed": "seed", "batch_size": "batch_size",
+        "epochs": "epochs", "lr": "lr_init", "train_start": "train_start",
+        "train_end": "train_end", "val_start": "val_start", "val_end": "val_end",
+        "patience": "early_stop_patience", "grad_clip": "grad_clip_norm",
+        "replication": "replication"}),
+    "sweep": (SweepSpec, {f.name: f.name for f in dataclasses.fields(SweepSpec)}),
 }
+# Keys that set a grid axis: a sweep takes them from its 'sweep' section.
+_AXIS_KEYS = {"model": ("arch", "layers", "dim"), "training": ("m_steps", "seed"),
+              "variable_set": ("name",)}
 
 
 def _read_json(path, parse=lambda doc: doc):
@@ -72,16 +85,37 @@ def load_config_file(path) -> dict:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: a config file must hold one JSON object")
-    unknown = set(doc) - set(_SECTION_KEYS)
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for section, body in doc.items():
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        bad = set(body) - _SECTION_KEYS[section]
+        cls, keys = _SECTIONS[section]
+        bad = set(body) - set(keys)
         if bad:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
+        for key, value in body.items():
+            where = f"config section {section!r}: key {key!r}"
+            if keys[key] is not None:
+                check_type(cls, keys[key], value, where)
+            elif not isinstance(value, str):
+                raise ConfigError(f"{where}: expected a string, got {value!r}")
     return doc
+
+
+def _settings(doc: dict, section: str, args=None) -> dict:
+    """Field -> value for each key of the model or training `section` that a
+    flag in `args` or the config file sets; the flag wins."""
+    body = doc.get(section, {})
+    out = {}
+    for key, name in _SECTIONS[section][1].items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            out[name] = flag
+        elif key in body:
+            out[name] = body[key]
+    return out
 
 
 def _run_root(args) -> Path:
@@ -126,50 +160,28 @@ def cmd_gen_data(args) -> int:
 
 # ------------------------------------------------------------------ train
 
-def _train_config_from(args) -> TrainConfig:
-    doc = load_config_file(args.config) if args.config else {}
-    tr = doc.get("training", {})
-    md = {_MODEL_KEYS[k]: v for k, v in doc.get("model", {}).items()}
-    vs_name = args.vars or doc.get("variable_set", {}).get("name", "vars8")
-    vs = parse_variable_set(vs_name)
-    file_arch = md.pop("arch", None)
-    n_layers, hidden_dim = md.pop("n_layers", 4), md.pop("hidden_dim", 128)
-    arch = args.arch or file_arch
+def _train_config_from(args, doc: dict, store: DatasetStore) -> TrainConfig:
+    """The one point of the grid that `rsl train`'s flags and config file
+    name. Without --vars or variable_set.name it trains on the store's set."""
+    model, training = _settings(doc, "model", args), _settings(doc, "training", args)
+    arch = model.pop("arch", None)
     if not arch:
         raise ConfigError("an architecture is required (--arch or config model.arch)")
-    if "patch_size" in md:
-        md["patch_size"] = tuple(md["patch_size"])
-    spec = model_spec(
-        arch,
-        n_layers=args.layers if args.layers is not None else n_layers,
-        hidden_dim=args.dim if args.dim is not None else hidden_dim,
-        n_prognostic=vs.n_prognostic, n_forcing=len(vs.forcings),
-        n_constant=len(vs.constants), **md)
-
-    def pick(flag, key, default):
-        v = getattr(args, flag, None)
-        return v if v is not None else tr.get(key, default)
-
-    return TrainConfig(
-        model=spec,
-        m_steps=pick("m_steps", "m_steps", 1),
-        seed=pick("seed", "seed", 597),
-        variable_set=vs_name,
-        train_start=pick("train_start", "train_start", "2006-01-01"),
-        train_end=pick("train_end", "train_end", "2007-12-31"),
-        val_start=pick("val_start", "val_start", "2008-01-01"),
-        val_end=pick("val_end", "val_end", "2008-12-31"),
-        batch_size=pick("batch_size", "batch_size", 32),
-        lr_init=pick("lr", "lr", None),
-        epochs=pick("epochs", "epochs", 5),
-        early_stop_patience=pick("patience", "patience", 5),
-        grad_clip_norm=pick("grad_clip", "grad_clip", 0.001),
-        replication=pick("replication", "replication", False))
+    vs = args.vars or doc.get("variable_set", {}).get("name") \
+        or spell_variable_set(store.varset)
+    point = SweepSpec(archs=[arch], variable_sets=[vs],
+                      m_steps=[training.pop("m_steps", 1)],
+                      layers=[model.pop("n_layers", 4)],
+                      dims=[model.pop("hidden_dim", 128)],
+                      seeds=[training.pop("seed", 597)])
+    (cfg,) = enumerate_runs(point, model, **training)
+    return cfg
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config_from(args)
+    doc = load_config_file(args.config) if args.config else {}
     store = DatasetStore.open(args.data)
+    cfg = _train_config_from(args, doc, store)
     rid = run_id(cfg)
     run_dir = Path(args.run_dir) if args.run_dir else _run_root(args) / rid
     record = run_training(cfg, store, run_dir)
@@ -202,6 +214,8 @@ def cmd_rollout(args) -> int:
     stats = _read_json(run_dir / "stats.json", NormalizationStats.from_json)
     reference = DatasetStore.open(args.reference)
     train_store = DatasetStore.open(args.data) if args.data else reference
+    for store in (reference, train_store):
+        check_variables(cfg, store)
 
     if args.start:
         start = parse_timestamp(args.start)
@@ -252,9 +266,15 @@ def cmd_sweep(args) -> int:
     sw = doc.get("sweep")
     if not sw:
         raise ConfigError("config file has no 'sweep' section")
-    sweep = SweepSpec.from_json(sw)
+    axes = [f"{section}.{key}" for section, keys in _AXIS_KEYS.items()
+            for key in keys if key in doc.get(section, {})]
+    if axes:
+        raise ConfigError(f"config keys {axes} set grid axes; a sweep takes "
+                          f"them from its 'sweep' section")
+    configs = enumerate_runs(SweepSpec.from_json(sw), _settings(doc, "model"),
+                             **_settings(doc, "training"))
     root = _run_root(args)
-    manifest = run_sweep(sweep, args.data, root, jobs=args.jobs,
+    manifest = run_sweep(configs, args.data, root, jobs=args.jobs,
                          log=lambda s: print(s))
     counts = {}
     for r in manifest["runs"]:

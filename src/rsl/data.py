@@ -91,6 +91,11 @@ def parse_variable_set(spelled: str) -> VariableSet:
     return variable_set("custom", int(count))
 
 
+def spell_variable_set(vs: VariableSet) -> str:
+    """The spelling parse_variable_set reads back as `vs`'s variables."""
+    return f"custom:{vs.n_prognostic}" if vs.name == "custom" else vs.name
+
+
 # ---------------------------------------------------------------- time axis
 
 def parse_date(s: str) -> datetime:
@@ -257,9 +262,6 @@ class DatasetStore:
         if rem != 0 or steps < 0 or steps >= self.n_steps:
             raise ConfigError(f"timestamp {t} outside store time axis")
         return steps
-
-    def timestamp(self, i: int) -> datetime:
-        return self.start + i * STEP
 
     @property
     def varset(self) -> VariableSet:

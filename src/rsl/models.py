@@ -24,13 +24,17 @@ from .spectral import SHTPlan, plan_sht, sht_forward_t, sht_inverse_t
 
 ARCHS = ("climax", "fcn", "sfno")
 
+# The spec fields each architecture reads besides the six every one reads
+# (arch, n_layers, hidden_dim and the three variable counts), with their
+# locked defaults. A field an architecture does not read stays at its
+# ModelSpec default, so it cannot split one model into several run ids.
 _ARCH_DEFAULTS = {
     "climax": dict(patch_size=(2, 2), n_heads=8, mlp_ratio=4.0, use_pos_embed=True),
-    "fcn": dict(patch_size=(1, 1), n_blocks=4, sparsity_threshold=0.01,
-                hard_threshold_fraction=1.0, mlp_ratio=4.0, use_pos_embed=False),
-    "sfno": dict(patch_size=(1, 1), use_mlp=True, mlp_ratio=2.0,
-                 hard_threshold_fraction=1.0, use_pos_embed=False),
+    "fcn": dict(n_blocks=4, sparsity_threshold=0.01, hard_threshold_fraction=1.0,
+                mlp_ratio=4.0, use_pos_embed=False),
+    "sfno": dict(use_mlp=True, mlp_ratio=2.0, hard_threshold_fraction=1.0),
 }
+_ARCH_FIELDS = set().union(*_ARCH_DEFAULTS.values())
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,9 @@ class ModelSpec:
     use_pos_embed: bool = False
     use_mlp: bool = True
 
+    def __post_init__(self):
+        object.__setattr__(self, "patch_size", tuple(self.patch_size))
+
     @property
     def n_inputs(self) -> int:
         return self.n_prognostic + self.n_forcing + self.n_constant
@@ -61,26 +68,37 @@ class ModelSpec:
 
     @staticmethod
     def from_json(d: dict) -> "ModelSpec":
-        d = dataclass_kwargs(ModelSpec, d, "model")
-        d["patch_size"] = tuple(d.get("patch_size", (1, 1)))
-        return ModelSpec(**d)
+        return ModelSpec(**dataclass_kwargs(ModelSpec, d, "model"))
 
 
 def model_spec(arch: str, n_layers: int, hidden_dim: int, n_prognostic: int,
                n_forcing: int = 1, n_constant: int = 4, **fields) -> ModelSpec:
-    """Build a ModelSpec with the architecture's locked defaults applied."""
+    """Build a ModelSpec with the architecture's locked defaults applied.
+    `fields` sets the fields the architecture reads; the fields only another
+    architecture reads keep their ModelSpec defaults (see unread_fields)."""
     if arch not in ARCHS:
         raise ConfigError(f"unknown architecture {arch!r}, expected one of {ARCHS}")
     kw = dict(_ARCH_DEFAULTS[arch])
-    kw.update(fields)
+    kw.update((k, v) for k, v in fields.items() if k in kw or k not in _ARCH_FIELDS)
     return ModelSpec(arch=arch, n_layers=n_layers, hidden_dim=hidden_dim,
                      n_prognostic=n_prognostic, n_forcing=n_forcing,
                      n_constant=n_constant, **kw)
 
 
+def unread_fields(arch: str, fields) -> list[str]:
+    """The names among `fields` that architecture `arch` does not read."""
+    return sorted(set(fields) - set(_ARCH_DEFAULTS[arch]))
+
+
 def validate_spec(spec: ModelSpec, grid: GridSpec) -> None:
     if spec.arch not in ARCHS:
         raise ConfigError(f"unknown architecture {spec.arch!r}")
+    defaults = ModelSpec(spec.arch, 1, 1, 1)
+    unread = unread_fields(spec.arch, [name for name in _ARCH_FIELDS
+                                       if getattr(spec, name) != getattr(defaults, name)])
+    if unread:
+        raise ConfigError(f"{spec.arch} does not read the model fields {unread}, "
+                          f"which must keep their defaults")
     if spec.n_layers < 1 or spec.hidden_dim < 1 or spec.n_prognostic < 1:
         raise ConfigError("n_layers, hidden_dim and n_prognostic must be positive")
     if spec.arch == "climax" and spec.hidden_dim % spec.n_heads != 0:

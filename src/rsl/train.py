@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,11 +25,12 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_path, write_json_atomic
 from .data import (DatasetStore, NormalizationStats, compute_normalization,
-                   load_batch, parse_date, parse_variable_set, sample_index)
+                   load_batch, parse_date, parse_variable_set, sample_index,
+                   spell_variable_set)
 from .errors import ConfigError, NonFiniteError, dataclass_kwargs
 from .grid import AreaWeights, area_weights
 from .models import (ModelSpec, ModelState, build_model, model_forward_t,
-                     model_spec)
+                     model_spec, unread_fields)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -52,13 +54,13 @@ class TrainConfig:
     m_steps: int
     seed: int
     variable_set: str
-    train_start: str
-    train_end: str
-    val_start: str
-    val_end: str
-    batch_size: int = REPLICATION_BATCH
+    train_start: str = "2006-01-01"
+    train_end: str = "2007-12-31"
+    val_start: str = "2008-01-01"
+    val_end: str = "2008-12-31"
+    batch_size: int = 32
     lr_init: float | None = None          # None -> per-architecture default
-    epochs: int = REPLICATION_EPOCHS
+    epochs: int = 5
     early_stop_patience: int = REPLICATION_PATIENCE
     grad_clip_norm: float = REPLICATION_CLIP
     replication: bool = False
@@ -99,6 +101,22 @@ def validate_train_config(cfg: TrainConfig) -> None:
         if cfg.model.hidden_dim not in REPLICATION_DIMS:
             raise ConfigError(f"replication mode requires hidden_dim in {REPLICATION_DIMS}, "
                               f"got {cfg.model.hidden_dim}")
+
+
+def check_variables(cfg: TrainConfig, store: DatasetStore) -> None:
+    """ConfigError naming both sets unless `store` holds the prognostic,
+    forcing and constant variables `cfg.variable_set` names, in order, and
+    `cfg.model` counts that many of each."""
+    vs = parse_variable_set(cfg.variable_set)
+    held = (store.prognostic, store.forcings, store.constants)
+    counts = (cfg.model.n_prognostic, cfg.model.n_forcing, cfg.model.n_constant)
+    if (vs.prognostic, vs.forcings, vs.constants) != held \
+            or counts != tuple(map(len, held)):
+        raise ConfigError(
+            f"variable set {cfg.variable_set} (model counts {counts}) does not "
+            f"match the dataset {store.root}, which holds "
+            f"{spell_variable_set(store.varset)}: prognostic {list(store.prognostic)}, "
+            f"forcings {list(store.forcings)}, constants {list(store.constants)}")
 
 
 def run_id(cfg: TrainConfig) -> str:
@@ -216,10 +234,6 @@ class TrainRecord:
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_json(d: dict) -> "TrainRecord":
-        return TrainRecord(**d)
-
 
 # ------------------------------------------------------------------ training
 
@@ -233,6 +247,7 @@ def train(cfg: TrainConfig, store: DatasetStore,
     """Full training protocol: seeded shuffles, cosine schedule, clipping,
     Adam, patience-based early stopping, best-checkpoint restore."""
     validate_train_config(cfg)
+    check_variables(cfg, store)
     t_start, t_end = parse_date(cfg.train_start), parse_date(cfg.train_end)
     v_start, v_end = parse_date(cfg.val_start), parse_date(cfg.val_end)
     stats = compute_normalization(store, t_start, t_end)
@@ -353,52 +368,40 @@ def run_training(cfg: TrainConfig, store: DatasetStore, run_dir) -> TrainRecord:
 
 @dataclass
 class SweepSpec:
+    """The grid's six axes; every other setting of a run is the same for all."""
     archs: list[str]
     variable_sets: list[str]
     m_steps: list[int]
     layers: list[int]
     dims: list[int]
     seeds: list[int]
-    train_start: str = "1979-01-01"
-    train_end: str = "2007-12-31"
-    val_start: str = "2008-01-01"
-    val_end: str = "2008-12-31"
-    batch_size: int = REPLICATION_BATCH
-    epochs: int = REPLICATION_EPOCHS
-    replication: bool = False
 
     @staticmethod
     def from_json(d: dict) -> "SweepSpec":
         return SweepSpec(**dataclass_kwargs(SweepSpec, d, "config section 'sweep'"))
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
-
-def enumerate_runs(sweep: SweepSpec) -> list[TrainConfig]:
-    """Cartesian product of the grid, in deterministic order."""
-    out = []
+def enumerate_runs(sweep: SweepSpec, model_fields: dict | None = None,
+                   **training) -> list[TrainConfig]:
+    """Cartesian product of the grid, in deterministic order. Every run's
+    model spec takes `model_fields` and its TrainConfig `training`; what
+    they leave unset is the dataclass default. A model field that one of the
+    architectures does not read is a ConfigError."""
+    model_fields = model_fields or {}
     for arch in sweep.archs:
-        for vs_name in sweep.variable_sets:
-            vs = parse_variable_set(vs_name)
-            for m in sweep.m_steps:
-                for layers in sweep.layers:
-                    for dim in sweep.dims:
-                        for seed in sweep.seeds:
-                            spec = model_spec(
-                                arch, layers, dim, vs.n_prognostic,
-                                n_forcing=len(vs.forcings),
-                                n_constant=len(vs.constants))
-                            out.append(TrainConfig(
-                                model=spec, m_steps=m, seed=seed,
-                                variable_set=vs_name,
-                                train_start=sweep.train_start,
-                                train_end=sweep.train_end,
-                                val_start=sweep.val_start,
-                                val_end=sweep.val_end,
-                                batch_size=sweep.batch_size,
-                                epochs=sweep.epochs,
-                                replication=sweep.replication))
+        unread = unread_fields(arch, model_fields)
+        if unread:
+            raise ConfigError(f"{arch} does not read the model fields {unread}")
+    out = []
+    for arch, vs_name, m, layers, dim, seed in itertools.product(
+            sweep.archs, sweep.variable_sets, sweep.m_steps, sweep.layers,
+            sweep.dims, sweep.seeds):
+        vs = parse_variable_set(vs_name)
+        spec = model_spec(arch, layers, dim, vs.n_prognostic,
+                          n_forcing=len(vs.forcings), n_constant=len(vs.constants),
+                          **model_fields)
+        out.append(TrainConfig(model=spec, m_steps=m, seed=seed,
+                               variable_set=vs_name, **training))
     return out
 
 
@@ -416,12 +419,15 @@ def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> tuple[str, st
         return run_id(cfg), "failed"
 
 
-def run_sweep(sweep: SweepSpec, store_dir, root, jobs: int = 1,
+def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
               log=lambda s: None) -> dict:
-    """Execute every run of the grid as share-nothing workers; resumable."""
+    """Execute every run as share-nothing workers; resumable. Every config is
+    checked against the store before the first run starts."""
+    store = DatasetStore.open(store_dir)
+    for cfg in configs:
+        check_variables(cfg, store)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    configs = enumerate_runs(sweep)
     statuses: dict[str, str] = {}
     todo = []
     for cfg in configs:

@@ -6,11 +6,9 @@ import pytest
 from rsl import autodiff as ad
 from rsl.errors import ConfigError, ShapeError
 
-R = np.random.default_rng(99)
 
-
-def t64(shape, grad=False):
-    return ad.tensor(R.standard_normal(shape), requires_grad=grad, dtype=np.float64)
+def t64(rng, shape, grad=False):
+    return ad.tensor(rng.standard_normal(shape), requires_grad=grad, dtype=np.float64)
 
 
 # ----------------------------------------------------------- forward basics
@@ -26,14 +24,16 @@ def test_rfft_of_delta_is_flat():
 
 
 def test_matmul_identity():
-    a = R.standard_normal((4, 4))
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((4, 4))
     out = ad.matmul(ad.tensor(np.eye(4)), ad.tensor(a))
     assert np.allclose(out.data, a)
 
 
 def test_forward_determinism():
-    x = t64((6, 8))
-    w = t64((8, 3))
+    rng = np.random.default_rng(2)
+    x = t64(rng, (6, 8))
+    w = t64(rng, (8, 3))
     a = ad.matmul(ad.gelu(x), w).data
     b = ad.matmul(ad.gelu(ad.Tensor(x.data)), ad.Tensor(w.data)).data
     assert np.array_equal(a, b)
@@ -48,33 +48,41 @@ def test_backward_square():
 
 
 def test_backward_requires_scalar():
-    x = t64((3,), grad=True)
+    rng = np.random.default_rng(3)
+    x = t64(rng, (3,), grad=True)
     with pytest.raises(ShapeError):
         ad.backward(ad.scale(x, 2.0))
 
 
 def test_weighted_mean_gradient_is_scaled_weights():
+    rng = np.random.default_rng(4)
     w = np.array([0.5, 1.5])
-    x = ad.tensor(R.standard_normal((2, 4)), requires_grad=True, dtype=np.float64)
+    x = ad.tensor(rng.standard_normal((2, 4)), requires_grad=True, dtype=np.float64)
     ad.backward(ad.lat_weighted_mean(x, w))
     assert np.allclose(x.grad, np.broadcast_to(w[:, None] / 8.0, (2, 4)))
 
 
 def test_mlp_gradients_match_finite_differences():
-    params = {
-        "w1": t64((5, 7), grad=True), "b1": t64((7,), grad=True),
-        "w2": t64((7, 4), grad=True), "b2": t64((4,), grad=True),
-        "w3": t64((4, 1), grad=True),
-    }
-    x = t64((3, 5))
+    # Twenty draws fixed in advance: the bound has to hold for any of them,
+    # near-zero gradient components (saturated GELUs) included.
+    worst = {}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        params = {
+            "w1": t64(rng, (5, 7), grad=True), "b1": t64(rng, (7,), grad=True),
+            "w2": t64(rng, (7, 4), grad=True), "b2": t64(rng, (4,), grad=True),
+            "w3": t64(rng, (4, 1), grad=True),
+        }
+        x = t64(rng, (3, 5))
 
-    def loss():
-        h = ad.gelu(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
-        h = ad.gelu(ad.add(ad.matmul(h, params["w2"]), params["b2"]))
-        out = ad.matmul(h, params["w3"])
-        return ad.mean_(ad.mul(out, out))
+        def loss():
+            h = ad.gelu(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
+            h = ad.gelu(ad.add(ad.matmul(h, params["w2"]), params["b2"]))
+            out = ad.matmul(h, params["w3"])
+            return ad.mean_(ad.mul(out, out))
 
-    assert ad.check_gradients(loss, params, eps=1e-3) < 1e-4
+        worst[seed] = ad.check_gradients(loss, params, eps=1e-3)
+    assert max(worst.values()) < 1e-4, worst
 
 
 # ----------------------------------------------------------- adjoint tests
@@ -83,15 +91,17 @@ def _dot(a, b):
     return float(np.sum(np.asarray(a, np.float64) * np.asarray(b, np.float64)))
 
 
+# The constant operands of the affine ops, drawn once when the module loads.
+OPERANDS = np.random.default_rng(98)
 LINEAR_OPS = [
-    ("add-left", (3, 4), lambda x, b=t64((3, 4)): ad.add(x, b)),
-    ("subtract", (3, 4), lambda x, b=t64((3, 4)): ad.sub(x, b)),
+    ("add-left", (3, 4), lambda x, b=t64(OPERANDS, (3, 4)): ad.add(x, b)),
+    ("subtract", (3, 4), lambda x, b=t64(OPERANDS, (3, 4)): ad.sub(x, b)),
     ("scalar-scale", (5,), lambda x: ad.scale(x, -1.7)),
-    ("matmul", (4, 5), lambda x, b=t64((5, 3)): ad.matmul(x, b)),
+    ("matmul", (4, 5), lambda x, b=t64(OPERANDS, (5, 3)): ad.matmul(x, b)),
     ("reshape", (4, 6), lambda x: ad.reshape(x, (2, 12))),
     ("permute-axes", (2, 3, 4), lambda x: ad.transpose(x, (2, 0, 1))),
     ("slice", (5, 6), lambda x: ad.narrow(x, 1, 2, 3)),
-    ("concat", (2, 3), lambda x, b=t64((2, 3)): ad.concat([x, b], axis=0)),
+    ("concat", (2, 3), lambda x, b=t64(OPERANDS, (2, 3)): ad.concat([x, b], axis=0)),
     ("sum", (4, 3), lambda x: ad.sum_(x, axis=0)),
     ("mean", (4, 3), lambda x: ad.mean_(x, axis=1)),
     ("weighted-mean", (2, 4, 6), lambda x: ad.lat_weighted_mean(x, np.array([0.6, 1.4, 1.1, 0.9]))),
@@ -102,22 +112,18 @@ LINEAR_OPS = [
     ("real-FFT-2d", (2, 4, 6), lambda x: ad.rfft2(x)),
     ("inverse-real-FFT-2d", (2, 3, 4, 4), lambda x: ad.irfft2(x, (4, 6))),
 ]
-# The tests below draw their data from R in order, so this draw, which no test
-# reads, holds that data fixed: test_mlp_gradients_match_finite_differences
-# meets its 1e-4 bound on this data but not on every draw (run on its own, it
-# fails).
-R.standard_normal((4, 5))
 
 
 @pytest.mark.parametrize("name,shape,op", LINEAR_OPS, ids=[o[0] for o in LINEAR_OPS])
 def test_linear_op_adjoint_consistency(name, shape, op):
     # <T x, y> == <x, T* y> for the linear part of each op (op(x) - op(0)
     # strips the constant operand of affine cases like add).
-    x = t64(shape, grad=True)
+    rng = np.random.default_rng(6)
+    x = t64(rng, shape, grad=True)
     y = op(x)
     with ad.no_grad():
         y0 = op(ad.Tensor(np.zeros(shape)))
-    cot = R.standard_normal(y.shape)
+    cot = rng.standard_normal(y.shape)
     lhs = _dot(y.data - y0.data, cot)
     x.grad = None
     y._node.vjp(cot)
@@ -126,8 +132,9 @@ def test_linear_op_adjoint_consistency(name, shape, op):
 
 
 def test_complex_matmul_matches_complex_matmul():
-    ar, ai = t64((2, 3, 4)), t64((2, 3, 4))
-    br, bi = t64((4, 5)), t64((4, 5))
+    rng = np.random.default_rng(7)
+    ar, ai = t64(rng, (2, 3, 4)), t64(rng, (2, 3, 4))
+    br, bi = t64(rng, (4, 5)), t64(rng, (4, 5))
     re, im = ad.complex_matmul(ar, ai, br, bi)
     want = (ar.data + 1j * ai.data) @ (br.data + 1j * bi.data)
     assert np.allclose(re.data + 1j * im.data, want, rtol=1e-12, atol=1e-12)
@@ -136,7 +143,8 @@ def test_complex_matmul_matches_complex_matmul():
 # ----------------------------------------------------------- FFT round trips
 
 def test_fft_roundtrip_float32():
-    x = ad.tensor(R.standard_normal((5, 16)).astype(np.float32))
+    rng = np.random.default_rng(8)
+    x = ad.tensor(rng.standard_normal((5, 16)).astype(np.float32))
     y = ad.irfft(ad.rfft(x), 16)
     assert y.dtype == np.float32
     rel = np.abs(y.data - x.data).max() / np.abs(x.data).max()
@@ -144,14 +152,16 @@ def test_fft_roundtrip_float32():
 
 
 def test_fft_roundtrip_float64():
-    x = t64((5, 16))
+    rng = np.random.default_rng(9)
+    x = t64(rng, (5, 16))
     y = ad.irfft(ad.rfft(x), 16)
     rel = np.abs(y.data - x.data).max() / np.abs(x.data).max()
     assert rel < 1e-12
 
 
 def test_fft2_roundtrip():
-    x = ad.tensor(R.standard_normal((2, 6, 8)).astype(np.float32))
+    rng = np.random.default_rng(10)
+    x = ad.tensor(rng.standard_normal((2, 6, 8)).astype(np.float32))
     y = ad.irfft2(ad.rfft2(x), (6, 8))
     assert np.abs(y.data - x.data).max() < 1e-6
 
@@ -159,17 +169,19 @@ def test_fft2_roundtrip():
 # ----------------------------------------------------------- gradient checks
 
 def test_check_gradients_linear_map_is_roundoff():
-    w = t64((6, 6), grad=True)
-    x = t64((2, 6))
-    tgt = t64((2, 6))
+    rng = np.random.default_rng(11)
+    w = t64(rng, (6, 6), grad=True)
+    x = t64(rng, (2, 6))
+    tgt = t64(rng, (2, 6))
     err = ad.check_gradients(
         lambda: ad.sum_(ad.mul(ad.matmul(x, w), tgt)), {"w": w}, eps=1e-4)
     assert err < 1e-9
 
 
 def test_check_gradients_softshrink_away_from_kink():
+    rng = np.random.default_rng(12)
     lam, eps = 0.1, 1e-4
-    vals = R.standard_normal((4, 5))
+    vals = rng.standard_normal((4, 5))
     vals[np.abs(np.abs(vals) - lam) < 10 * eps] += 0.5   # keep off the kink
     x = ad.Tensor(vals, requires_grad=True)
 
@@ -180,15 +192,17 @@ def test_check_gradients_softshrink_away_from_kink():
 
 
 def test_check_gradients_gelu():
-    x = t64((4, 5), grad=True)
+    rng = np.random.default_rng(13)
+    x = t64(rng, (4, 5), grad=True)
     assert ad.check_gradients(lambda: ad.sum_(ad.gelu(x)), {"x": x}, eps=1e-4) < 1e-5
 
 
 def test_check_gradients_softmax_layernorm():
-    g = t64((6,), grad=True)
-    b = t64((6,), grad=True)
-    x = t64((3, 6), grad=True)
-    probe = t64((3, 6))
+    rng = np.random.default_rng(14)
+    g = t64(rng, (6,), grad=True)
+    b = t64(rng, (6,), grad=True)
+    x = t64(rng, (3, 6), grad=True)
+    probe = t64(rng, (3, 6))
 
     def loss():
         return ad.sum_(ad.mul(ad.softmax(ad.layer_norm(x, g, b), -1), probe))
@@ -199,14 +213,16 @@ def test_check_gradients_softmax_layernorm():
 # ----------------------------------------------------------- no-grad / free
 
 def test_no_grad_builds_no_graph():
-    x = t64((3,), grad=True)
+    rng = np.random.default_rng(15)
+    x = t64(rng, (3,), grad=True)
     with ad.no_grad():
         y = ad.mul(x, x)
     assert not y.requires_grad
 
 
 def test_graph_freed_after_backward():
-    x = t64((3,), grad=True)
+    rng = np.random.default_rng(16)
+    x = t64(rng, (3,), grad=True)
     y = ad.sum_(ad.mul(x, x))
     ad.backward(y)
     assert y._node.vjp is None and y._node.parents == ()
@@ -236,9 +252,10 @@ def test_graph_keeps_only_what_pullbacks_read():
 # ----------------------------------------------------------- checkpoints
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
+    rng = np.random.default_rng(17)
     params = {
-        "layer.weight": ad.tensor(R.standard_normal((7, 3)).astype(np.float32)),
-        "bias": ad.tensor(R.standard_normal(11).astype(np.float32)),
+        "layer.weight": ad.tensor(rng.standard_normal((7, 3)).astype(np.float32)),
+        "bias": ad.tensor(rng.standard_normal(11).astype(np.float32)),
     }
     path = tmp_path / "m.ckpt"
     ad.save_checkpoint(params, path)

@@ -6,8 +6,9 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from rsl.cli import _calendar_steps, main
+from rsl.cli import _calendar_steps, _train_config_from, build_parser, main
 from rsl.data import DatasetStore
+from rsl.train import run_id
 
 
 def run_cli(*argv):
@@ -164,7 +165,8 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
                      ({"dataset": {"path": "ds"}}, "path"),
                      ({"variable_set": {"name": "vars8", "n_prognostic": 8}}, "n_prognostic"),
                      ({"model": {"arch": "sfno", "decoder_depth": 2}}, "decoder_depth"),
-                     ({"model": {"arch": "sfno", "big_skip": True}}, "big_skip")):
+                     ({"model": {"arch": "sfno", "big_skip": True}}, "big_skip"),
+                     ({"sweep": {"epochs": 1}}, "epochs")):    # moved to 'training'
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg), "--data", "nowhere") == 2, key
         assert key in capsys.readouterr().err
@@ -186,6 +188,86 @@ def test_config_file_model_keys_reach_the_spec(cli_store, tmp_path):
     assert (model["arch"], model["n_layers"], model["hidden_dim"]) == ("climax", 1, 8)
     assert model["patch_size"] == [1, 2] and model["n_heads"] == 2
     assert model["mlp_ratio"] == 2.0 and model["use_pos_embed"] is False
+
+
+@pytest.mark.parametrize("section, key, value, expected", [
+    ("model", "patch", 3, "a list of 2 ints"),
+    ("model", "layers", "4", "an int"),
+    ("training", "lr", "fast", "a number or null"),
+    ("model", "pos_embed", 1, "a bool"),
+    ("sweep", "seeds", [1.5], "a list of ints"),
+    ("dataset", "grid", 5, "a string")])
+def test_config_value_of_the_wrong_type_exit2(cli_store, tmp_path, capsys,
+                                              section, key, value, expected):
+    doc = {"model": {"arch": "climax", "layers": 1, "dim": 8}}
+    doc.setdefault(section, {})[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = str(tmp_path / "runs")
+    argv = (["gen-data", "--out", out] if section == "dataset" else
+            ["sweep" if section == "sweep" else "train", "--data", str(cli_store),
+             "--run-root", out])
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"config section {section!r}: key {key!r}: expected {expected}" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_quick_start_run_id_is_pinned(small_store):
+    # The README quick-start `rsl train` on a vars8 store, in full and without
+    # the flags that repeat the defaults. A change that re-keys run ids (a new
+    # spec or config field, another default) fails here.
+    full = ("train --data world --arch sfno --layers 2 --dim 32 --m-steps 2 "
+            "--seed 597 --vars vars8 --train-start 2006-01-01 --train-end 2007-12-31 "
+            "--val-start 2008-01-01 --val-end 2008-12-31 --batch-size 32 --epochs 5 "
+            "--run-root runs")
+    short = "train --data world --arch sfno --layers 2 --dim 32 --m-steps 2"
+    for argv in (full, short):
+        cfg = _train_config_from(build_parser().parse_args(argv.split()), {}, small_store)
+        assert run_id(cfg) == "c3c1676a4916", argv
+
+
+def test_train_without_vars_takes_the_store_set(cli_store, tmp_path):
+    run = tmp_path / "r"
+    assert run_cli("train", "--data", str(cli_store), "--arch", "sfno",
+                   "--layers", "1", "--dim", "8", "--train-start", "2006-01-01",
+                   "--train-end", "2006-01-31", "--val-start", "2006-02-01",
+                   "--val-end", "2006-02-07", "--epochs", "1",
+                   "--run-dir", str(run)) == 0
+    assert json.loads((run / "config.json").read_text())["variable_set"] == "custom:3"
+
+
+def test_variable_set_must_match_the_store(cli_store, cli_run, tmp_path, capsys):
+    def assert_exit2_naming(*argv, sets=("vars8", "custom:3")):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert all(s in err for s in sets), err
+
+    assert_exit2_naming("train", "--data", str(cli_store), "--arch", "sfno",
+                        "--layers", "1", "--dim", "8", "--vars", "vars8",
+                        "--run-dir", str(tmp_path / "t"))
+    assert not (tmp_path / "t" / "record.json").exists()
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, variable_sets=["vars8"])}))
+    assert_exit2_naming("sweep", "--config", str(cfg), "--data", str(cli_store),
+                        "--run-root", str(tmp_path / "s"))
+    assert not (tmp_path / "s").exists()
+    # a run whose config names vars8, rolled out on the custom:3 reference
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    doc = json.loads((run / "config.json").read_text())
+    (run / "config.json").write_text(json.dumps(dict(doc, variable_set="vars8")))
+    assert_exit2_naming("rollout", "--run", str(run), "--reference", str(cli_store),
+                        "--steps", "8")
+    # the run's own set on the reference, another set on --data
+    (run / "config.json").write_text(json.dumps(doc))
+    other = tmp_path / "ds4"
+    assert run_cli("gen-data", "--seed", "7", "--years", "1", "--grid", "16x8",
+                   "--vars", "custom:4", "--out", str(other)) == 0
+    assert_exit2_naming("rollout", "--run", str(run), "--reference", str(cli_store),
+                        "--data", str(other), "--steps", "8",
+                        sets=("custom:3", "custom:4"))
+    assert not (run / "score.json").exists()
 
 
 # ----------------------------------------------------------------- rollout
@@ -330,12 +412,12 @@ def test_score_json_survives_a_failed_write(cli_run, cli_store, tmp_path, monkey
 def cli_sweep(cli_store, tmp_path_factory):
     root = tmp_path_factory.mktemp("cli") / "sweeproot"
     cfg = tmp_path_factory.mktemp("cli") / "sweep.json"
-    cfg.write_text(json.dumps({"sweep": {
-        "archs": ["sfno"], "variable_sets": ["custom:3"], "m_steps": [1],
-        "layers": [1], "dims": [8], "seeds": [597, 1152],
-        "train_start": "2006-01-01", "train_end": "2006-06-30",
-        "val_start": "2006-07-01", "val_end": "2006-07-31",
-        "batch_size": 64, "epochs": 1}}))
+    cfg.write_text(json.dumps({
+        "sweep": {"archs": ["sfno"], "variable_sets": ["custom:3"], "m_steps": [1],
+                  "layers": [1], "dims": [8], "seeds": [597, 1152]},
+        "training": {"train_start": "2006-01-01", "train_end": "2006-06-30",
+                     "val_start": "2006-07-01", "val_end": "2006-07-31",
+                     "batch_size": 64, "epochs": 1}}))
     assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
                    "--run-root", str(root)) == 0
     manifest = json.loads((root / "sweep.json").read_text())
@@ -345,6 +427,56 @@ def cli_sweep(cli_store, tmp_path_factory):
                        "--start", "2007-06-01T00:00:00", "--steps", "160",
                        "--run-root", str(root)) == 0
     return root
+
+
+# One run of one architecture; the tests below add keys around it.
+SWEEP_GRID = {"archs": ["sfno"], "variable_sets": ["custom:3"], "m_steps": [1],
+              "layers": [1], "dims": [8], "seeds": [597, 1152]}
+SHORT_TRAINING = {"train_start": "2006-01-01", "train_end": "2006-01-31",
+                  "val_start": "2006-02-01", "val_end": "2006-02-07",
+                  "batch_size": 64, "epochs": 1}
+
+
+def test_sweep_reads_every_model_and_training_key(cli_store, tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "sweep": SWEEP_GRID, "model": {"mlp_ratio": 3.0},
+        "training": dict(SHORT_TRAINING, lr=5e-4, patience=1, grad_clip=0.5)}))
+    root = tmp_path / "root"
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(root)) == 0
+    runs = json.loads((root / "sweep.json").read_text())["runs"]
+    assert len(runs) == 2
+    for entry in runs:
+        got = json.loads((root / entry["id"] / "config.json").read_text())
+        assert (got["lr_init"], got["early_stop_patience"], got["grad_clip_norm"],
+                got["model"]["mlp_ratio"]) == (5e-4, 1, 0.5, 3.0)
+        assert got["batch_size"] == 64 and got["train_end"] == "2006-01-31"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "m_steps", 1), ("training", "seed", 1), ("model", "arch", "sfno"),
+    ("model", "layers", 1), ("model", "dim", 8), ("variable_set", "name", "custom:3")])
+def test_sweep_axis_key_outside_the_grid_exit2(cli_store, tmp_path, capsys,
+                                               section, key, value):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": SWEEP_GRID, section: {key: value}}))
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(tmp_path / "root")) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()
+
+
+def test_sweep_model_key_an_architecture_does_not_read_exit2(cli_store, tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, archs=["climax", "sfno"]),
+                               "model": {"heads": 2}}))
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(tmp_path / "root")) == 2
+    err = capsys.readouterr().err
+    assert "sfno" in err and "n_heads" in err
+    assert not (tmp_path / "root").exists()
 
 
 def test_sweep_section_missing_keys_exit2(cli_store, tmp_path, capsys):
@@ -363,6 +495,8 @@ def test_sweep_manifest(cli_sweep):
     assert len(manifest["runs"]) == 2
     seeds = sorted(r["config"]["seed"] for r in manifest["runs"])
     assert seeds == [597, 1152]
+    # the ids the same grid got when its training settings sat in 'sweep'
+    assert [r["id"] for r in manifest["runs"]] == ["c81685a30ff7", "fe71a186f8ea"]
     assert all(r["status"] == "ok" for r in manifest["runs"])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rsl import autodiff as ad
+from rsl import train as T
 from rsl.errors import ConfigError, NonFiniteError
 from rsl.grid import make_grid
 from rsl.models import (ModelSpec, afno_block, build_model, climax_encode,
@@ -146,7 +147,6 @@ def test_validate_rejects_bad_configs():
 
 
 def test_replication_mode_accepts_paper_dims():
-    from rsl import train as T
     for arch in ("sfno", "fcn", "climax"):
         for layers in T.REPLICATION_LAYERS:
             for dim in T.REPLICATION_DIMS:
@@ -155,7 +155,8 @@ def test_replication_mode_accepts_paper_dims():
                 T.validate_train_config(T.TrainConfig(
                     model=spec, m_steps=2, seed=597, variable_set="vars8",
                     train_start="1979-01-01", train_end="2007-12-31",
-                    val_start="2008-01-01", val_end="2008-12-31", replication=True))
+                    val_start="2008-01-01", val_end="2008-12-31",
+                    batch_size=64, epochs=20, replication=True))
 
 
 def test_table1_defaults():
@@ -172,13 +173,22 @@ def test_table1_defaults():
 
 
 # A value other than the toy default for every ModelSpec field. The spec feeds
-# run_id, so a field that no architecture reads would give one experiment
-# several run ids.
+# run_id, so a field that an architecture accepts but does not read would give
+# one experiment several run ids.
 OTHER_VALUES = {
     "arch": "fcn", "n_layers": 3, "hidden_dim": 32, "n_prognostic": KP + 1,
     "n_forcing": KF + 1, "n_constant": KC + 1, "patch_size": (1, 2), "n_heads": 4,
     "mlp_ratio": 3.0, "sparsity_threshold": 0.5, "hard_threshold_fraction": 0.5,
     "n_blocks": 2, "use_pos_embed": True, "use_mlp": False,
+}
+# The spec fields each architecture reads; it rejects a value for any other.
+_EVERY_ARCH = {"arch", "n_layers", "hidden_dim", "n_prognostic", "n_forcing",
+               "n_constant"}
+READS = {
+    "sfno": _EVERY_ARCH | {"use_mlp", "mlp_ratio", "hard_threshold_fraction"},
+    "fcn": _EVERY_ARCH | {"n_blocks", "sparsity_threshold", "hard_threshold_fraction",
+                          "mlp_ratio", "use_pos_embed"},
+    "climax": _EVERY_ARCH | {"patch_size", "n_heads", "mlp_ratio", "use_pos_embed"},
 }
 
 
@@ -200,14 +210,31 @@ def _models_differ(spec_a, spec_b):
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelSpec)])
 def test_every_spec_field_changes_the_model(name):
+    # Per architecture: a field it reads changes its model when given a
+    # non-default value. A field it does not read is rejected where a user
+    # sets it (the run builder) and where a spec is built around model_spec
+    # (dataclasses.replace, a config.json, checked by validate_spec), and
+    # model_spec keeps it at its default.
     assert name in OTHER_VALUES, f"give ModelSpec.{name} a non-default value here"
-    changed = []
     for arch in ("sfno", "fcn", "climax"):
         base = toy_spec(arch)
-        other = dataclasses.replace(base, **{name: OTHER_VALUES[name]})
-        if other != base and _models_differ(base, other):
-            changed.append(arch)
-    assert changed, f"ModelSpec.{name} changes no architecture's parameters or output"
+        value = OTHER_VALUES[name]
+        if value == getattr(base, name):      # climax embeds positions by default
+            value = not value
+        if name == "arch":
+            other = toy_spec("climax" if arch == "fcn" else "fcn")
+        else:
+            other = dataclasses.replace(base, **{name: value})
+        if name in READS[arch]:
+            assert other != base and _models_differ(base, other), (arch, name)
+            continue
+        assert toy_spec(arch, **{name: value}) == base
+        grid = T.SweepSpec(archs=[arch], variable_sets=["custom:2"], m_steps=[1],
+                           layers=[2], dims=[16], seeds=[1])
+        with pytest.raises(ConfigError, match=f"{arch} does not read .*{name}"):
+            T.enumerate_runs(grid, {name: value})
+        with pytest.raises(ConfigError, match=f"{arch} does not read .*{name}"):
+            validate_spec(other, GRID)
 
 
 def test_forward_rejects_nonfinite():

@@ -215,7 +215,7 @@ def test_replication_mode_locks_protocol():
     ok = T.TrainConfig(model=spec, m_steps=2, seed=597, variable_set="vars8",
                        train_start="1979-01-01", train_end="2007-12-31",
                        val_start="2008-01-01", val_end="2008-12-31",
-                       replication=True)
+                       batch_size=64, epochs=20, replication=True)
     T.validate_train_config(ok)
     for layers, dim in ((5, 128), (4, 100)):    # outside the paper's L and D
         off_grid = dataclasses.replace(ok, model=model_spec("sfno", layers, dim, 8))
@@ -225,13 +225,13 @@ def test_replication_mode_locks_protocol():
     bad = T.TrainConfig(model=spec, m_steps=3, seed=597, variable_set="vars8",
                         train_start="1979-01-01", train_end="2007-12-31",
                         val_start="2008-01-01", val_end="2008-12-31",
-                        replication=True)
+                        batch_size=64, epochs=20, replication=True)
     with pytest.raises(ConfigError):
         T.validate_train_config(bad)
     bad2 = T.TrainConfig(model=spec, m_steps=2, seed=597, variable_set="vars8",
                          train_start="1979-01-01", train_end="2007-12-31",
                          val_start="2008-01-01", val_end="2008-12-31",
-                         batch_size=32, replication=True)
+                         batch_size=32, epochs=20, replication=True)
     with pytest.raises(ConfigError):
         T.validate_train_config(bad2)
 
@@ -356,14 +356,18 @@ def test_paper_grid_enumerates_1620():
     assert len(T.enumerate_runs(sweep)) == 1620
 
 
+# The micro grid's training settings, shared by every run of it.
+MICRO_TRAINING = dict(train_start="2006-01-01", train_end="2006-10-31",
+                      val_start="2006-11-01", val_end="2006-11-30",
+                      batch_size=64, epochs=1)
+
+
 def test_sweep_run_and_resume(micro_store, tmp_path):
     sweep = T.SweepSpec(archs=["sfno"], variable_sets=["custom:3"],
-                        m_steps=[1], layers=[1], dims=[8],
-                        seeds=[597, 1152], train_start="2006-01-01",
-                        train_end="2006-10-31", val_start="2006-11-01",
-                        val_end="2006-11-30", batch_size=64, epochs=1)
+                        m_steps=[1], layers=[1], dims=[8], seeds=[597, 1152])
+    configs = T.enumerate_runs(sweep, **MICRO_TRAINING)
     root = tmp_path / "sweep"
-    manifest = T.run_sweep(sweep, micro_store.root, root)
+    manifest = T.run_sweep(configs, micro_store.root, root)
     assert len(manifest["runs"]) == 2
     assert all(r["status"] == "ok" for r in manifest["runs"])
     rid = manifest["runs"][0]["id"]
@@ -371,7 +375,7 @@ def test_sweep_run_and_resume(micro_store, tmp_path):
     mtimes = {r["id"]: (root / r["id"] / "best.ckpt").stat().st_mtime_ns
               for r in manifest["runs"]}
     (root / rid / "record.json").unlink()
-    manifest2 = T.run_sweep(sweep, micro_store.root, root)
+    T.run_sweep(configs, micro_store.root, root)
     assert (root / rid / "best.ckpt").stat().st_mtime_ns != mtimes[rid]
     other = manifest["runs"][1]["id"]
     assert (root / other / "best.ckpt").stat().st_mtime_ns == mtimes[other]
@@ -381,11 +385,8 @@ def test_failed_artifact_write_leaves_run_incomplete(micro_store, tmp_path, monk
     # a write that dies at stats.json must not leave a record.json behind,
     # so a resumed sweep retrains the run instead of skipping it
     sweep = T.SweepSpec(archs=["sfno"], variable_sets=["custom:3"],
-                        m_steps=[1], layers=[1], dims=[8], seeds=[597],
-                        train_start="2006-01-01", train_end="2006-10-31",
-                        val_start="2006-11-01", val_end="2006-11-30",
-                        batch_size=64, epochs=1)
-    (cfg,) = T.enumerate_runs(sweep)
+                        m_steps=[1], layers=[1], dims=[8], seeds=[597])
+    (cfg,) = T.enumerate_runs(sweep, **MICRO_TRAINING)
     root = tmp_path / "sweep"
     run_dir = root / T.run_id(cfg)
     real_write = T.write_json_atomic
@@ -403,7 +404,7 @@ def test_failed_artifact_write_leaves_run_incomplete(micro_store, tmp_path, monk
     monkeypatch.undo()
 
     log = []
-    manifest = T.run_sweep(sweep, micro_store.root, root, log=log.append)
+    manifest = T.run_sweep([cfg], micro_store.root, root, log=log.append)
     assert log == [f"run {T.run_id(cfg)}: ok"]
     assert manifest["runs"][0]["status"] == "ok"
     for name in ("best.ckpt", "last.ckpt", "stats.json", "log.txt", "record.json"):
