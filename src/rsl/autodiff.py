@@ -26,6 +26,7 @@ from .errors import ConfigError, ShapeError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-5
 
 # When True, no graph is recorded (inference mode).
 _no_grad = False
@@ -74,13 +75,6 @@ class Tensor:
     @property
     def requires_grad(self) -> bool:
         return self._node is not None
-
-    @requires_grad.setter
-    def requires_grad(self, flag: bool) -> None:
-        if not flag:
-            self._node = None
-        elif self._node is None:
-            self._node = Node(self.data.dtype)
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -273,19 +267,18 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 # ---------------------------------------------------------------- reductions
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a: Tensor, axis=None) -> Tensor:
     na, sa = _node(a), a.shape
 
     def vjp(g):
         if axis is None:
             _accum(na, np.broadcast_to(g, sa))
         else:
-            gg = np.expand_dims(g, axis) if not keepdims else g
-            _accum(na, np.broadcast_to(gg, sa))
-    return _out(a.data.sum(axis=axis, keepdims=keepdims), "sum", (na,), vjp)
+            _accum(na, np.broadcast_to(np.expand_dims(g, axis), sa))
+    return _out(a.data.sum(axis=axis), "sum", (na,), vjp)
 
 
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean_(a: Tensor, axis=None) -> Tensor:
     n = a.size if axis is None else a.shape[axis]
     na, sa = _node(a), a.shape
 
@@ -293,9 +286,8 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is None:
             _accum(na, np.broadcast_to(g / n, sa))
         else:
-            gg = np.expand_dims(g, axis) if not keepdims else g
-            _accum(na, np.broadcast_to(gg / n, sa))
-    return _out(a.data.mean(axis=axis, keepdims=keepdims), "mean", (na,), vjp)
+            _accum(na, np.broadcast_to(np.expand_dims(g, axis) / n, sa))
+    return _out(a.data.mean(axis=axis), "mean", (na,), vjp)
 
 
 def lat_weighted_mean(a: Tensor, lat_weights: np.ndarray) -> Tensor:
@@ -359,13 +351,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _out(y, "softmax", (na,), vjp)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis."""
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
     xhat = xc * inv
     na, ng, nb = _node(a), _node(gain), _node(bias)
     w = gain.data

@@ -10,8 +10,11 @@ read; unknown keys and values of the wrong type are rejected. `rsl train` is a
 one-point grid and `rsl sweep` a full one, both built by `enumerate_runs`: a
 flag wins over the file, and the file over the dataclass default. The fully
 resolved configuration is echoed into the run directory as
-config.json. A config.json or stats.json this version cannot read (truncated,
-or written with other keys) exits 2, naming the file and the keys.
+config.json. `rsl gen-data` resolves its settings the same way, and
+SyntheticConfig's field defaults are its defaults. A manifest.json,
+config.json, stats.json, record.json, sweep.json, score.json, meta.json or
+means.bin this version cannot read (truncated, or written with other keys)
+exits 2, naming the file.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import argparse
 import calendar
 import dataclasses
-import json
 import os
 import sys
 from datetime import datetime, timedelta
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_json_atomic
+from .atomic import read_json, write_json_atomic
 from .data import (DatasetStore, NormalizationStats, SyntheticConfig,
                    compute_normalization, forcing_provider,
                    generate_synthetic_climate, normalized_constants,
@@ -43,12 +45,13 @@ from .train import (SweepSpec, TrainConfig, check_variables, enumerate_runs,
 from .verify import main_verify
 
 # Config-file section -> the dataclass its values set, and each key -> the field
-# it sets (`rsl train`'s flags carry the key names). The dataset keys grid, vars
-# and out set no field directly: they are strings that gen-data parses.
+# it sets (`rsl train`'s and `rsl gen-data`'s flags carry the key names). The
+# dataset keys grid and vars are strings that _SPELLED parses into their
+# fields; out, gen-data's output directory, sets no field.
 _SECTIONS = {
     "dataset": (SyntheticConfig, {"seed": "seed", "years": "years",
-                                  "start_year": "start_year",
-                                  "grid": None, "vars": None, "out": None}),
+                                  "start_year": "start_year", "grid": "grid",
+                                  "vars": "variable_set", "out": None}),
     "variable_set": (TrainConfig, {"name": "variable_set"}),
     "model": (ModelSpec, {
         "arch": "arch", "layers": "n_layers", "dim": "hidden_dim",
@@ -69,20 +72,8 @@ _AXIS_KEYS = {"model": ("arch", "layers", "dim"), "training": ("m_steps", "seed"
               "variable_set": ("name",)}
 
 
-def _read_json(path, parse=lambda doc: doc):
-    """`parse` of the JSON document at `path`. A file that is not JSON, or
-    that `parse` rejects, raises ConfigError naming the file."""
-    try:
-        with open(path) as f:
-            return parse(json.load(f))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def load_config_file(path) -> dict:
-    doc = _read_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: a config file must hold one JSON object")
     unknown = set(doc) - set(_SECTIONS)
@@ -97,19 +88,22 @@ def load_config_file(path) -> dict:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
         for key, value in body.items():
             where = f"config section {section!r}: key {key!r}"
-            if keys[key] is not None:
+            if keys[key] is None or (cls is SyntheticConfig and keys[key] in _SPELLED):
+                if not isinstance(value, str):
+                    raise ConfigError(f"{where}: expected a string, got {value!r}")
+            else:
                 check_type(cls, keys[key], value, where)
-            elif not isinstance(value, str):
-                raise ConfigError(f"{where}: expected a string, got {value!r}")
     return doc
 
 
 def _settings(doc: dict, section: str, args=None) -> dict:
-    """Field -> value for each key of the model or training `section` that a
+    """Field -> value for each key of `section` that sets a field and that a
     flag in `args` or the config file sets; the flag wins."""
     body = doc.get(section, {})
     out = {}
     for key, name in _SECTIONS[section][1].items():
+        if name is None:
+            continue
         flag = getattr(args, key, None)
         if flag is not None:
             out[name] = flag
@@ -132,27 +126,26 @@ def _parse_grid(s: str):
     return make_grid(w, h)
 
 
+# SyntheticConfig field -> the parser of the string a flag or the config file
+# spells it as.
+_SPELLED = {"grid": _parse_grid, "variable_set": parse_variable_set}
+
+
 # ------------------------------------------------------------------ gen-data
 
 def cmd_gen_data(args) -> int:
-    cfg = {}
-    if args.config:
-        cfg = load_config_file(args.config).get("dataset", {})
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    years = args.years if args.years is not None else cfg.get("years", 3)
-    grid = _parse_grid(args.grid or cfg.get("grid", "32x16"))
-    vs = parse_variable_set(args.vars or cfg.get("vars", "vars8"))
-    out = Path(args.out or cfg.get("out", "dataset"))
-    start_year = args.start_year if args.start_year is not None else \
-        cfg.get("start_year", 2006)
+    doc = load_config_file(args.config) if args.config else {}
+    fields = _settings(doc, "dataset", args)
+    for name, parse in _SPELLED.items():
+        if name in fields:
+            fields[name] = parse(fields[name])
+    out = Path(args.out or doc.get("dataset", {}).get("out", "dataset"))
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out} is not empty (use --force)")
-    store = generate_synthetic_climate(
-        SyntheticConfig(seed=seed, years=years, grid=grid, variable_set=vs,
-                        start_year=start_year), out)
+    store = generate_synthetic_climate(SyntheticConfig(**fields), out)
     stats = compute_normalization(store, store.start, store.end - timedelta(hours=18))
     store.save_stats(stats)
-    print(f"dataset {out}: grid {grid.n_lon}x{grid.n_lat}, "
+    print(f"dataset {out}: grid {store.grid.n_lon}x{store.grid.n_lat}, "
           f"{len(store.prognostic)} prognostic variables, "
           f"{store.n_steps} steps from {store.start.isoformat()}")
     return 0
@@ -210,8 +203,8 @@ def cmd_rollout(args) -> int:
     ckpt = run_dir / "best.ckpt"
     if not ckpt.exists():
         raise ConfigError(f"no checkpoint under {run_dir}")
-    cfg = _read_json(run_dir / "config.json", TrainConfig.from_json)
-    stats = _read_json(run_dir / "stats.json", NormalizationStats.from_json)
+    cfg = read_json(run_dir / "config.json", TrainConfig.from_json)
+    stats = read_json(run_dir / "stats.json", NormalizationStats.from_json)
     reference = DatasetStore.open(args.reference)
     train_store = DatasetStore.open(args.data) if args.data else reference
     for store in (reference, train_store):

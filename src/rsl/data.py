@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .atomic import write_json_atomic
+from .atomic import read_json, write_json_atomic
 from .errors import ConfigError, ShapeError
 from .grid import GridSpec, make_grid
 from .spectral import SHTPlan, plan_sht, sht_inverse
@@ -35,6 +35,18 @@ STD_FLOOR = 1e-6
 
 PRESSURE_LEVELS_33 = (925, 850, 700, 600, 500, 250)
 DEFAULT_EVAL_SUBSET = ("tas", "uas", "vas", "ta850", "zg500")
+TISR_SUBSTEP_MINUTES = 10     # quadrature step of the 6 h mean insolation
+
+# Dynamics of the synthetic climate; the first four go into each manifest's
+# generator provenance.
+BAND_LIMIT = 10               # spectral band limit of the generated fields
+DAMPING = 0.25                # per-step OU memory of the banded modes
+ROTATION_STEPS = 128          # solid-body rotation period, in 6 h steps
+COUPLING = 0.08               # rotation angle mixing neighboring variables
+SEASONAL_FRAC = 0.45          # share of variability driven by the season
+SLOW_AMP = 0.25               # amplitude of the interannual (slow) modes
+SLOW_BAND = 3                 # band limit of the slow modes
+SLOW_TAU_YEARS = 1.0          # e-folding time of the slow modes
 
 
 # ---------------------------------------------------------------- variables
@@ -142,13 +154,12 @@ def _solar_declination(doy, day_frac):
     return np.deg2rad(23.44) * np.sin(2.0 * np.pi * (284.0 + d) / 365.0)
 
 
-def compute_tisr(timestamp: datetime, grid: GridSpec,
-                 substep_minutes: int = 10) -> np.ndarray:
+def compute_tisr(timestamp: datetime, grid: GridSpec) -> np.ndarray:
     """Mean top-of-atmosphere incident flux (W/m^2) over the 6 h window
     ending at `timestamp`, on the grid. Circular orbit: S0 is constant."""
     lat = np.deg2rad(grid.latitudes)
     lon = np.deg2rad(grid.longitudes)
-    n_sub = int(round(6 * 60 / substep_minutes))
+    n_sub = int(round(6 * 60 / TISR_SUBSTEP_MINUTES))
     offs = (np.arange(n_sub) + 0.5) * (6.0 / n_sub)   # hours into the window
     t0 = timestamp - timedelta(hours=6)
     base_hours = t0.hour + t0.minute / 60.0 + t0.second / 3600.0
@@ -225,8 +236,7 @@ class DatasetStore:
     @staticmethod
     def open(root) -> "DatasetStore":
         root = Path(root)
-        with open(root / "manifest.json") as f:
-            return DatasetStore(root, json.load(f))
+        return read_json(root / "manifest.json", lambda doc: DatasetStore(root, doc))
 
     @staticmethod
     def create(root, grid: GridSpec, varset: VariableSet, start: datetime,
@@ -331,7 +341,8 @@ class DatasetStore:
             parts = [(max(a, first), min(b, stop)) for a, b in runs if a < stop and b > first]
             if not parts:
                 continue
-            with _open_f4(f"{self.root}/{var}/{year}.bin", (count,) + self.grid.shape) as f:
+            path = f"{self.root}/{var}/{year}.bin"
+            with _open_array(path, (count,) + self.grid.shape, "<f4") as f:
                 for a, b in parts:
                     f.seek((a - first) * step_bytes)
                     _read_exact(f, buf[pos * step_bytes:(pos + b - a) * step_bytes])
@@ -360,8 +371,8 @@ class DatasetStore:
 
     def read_constants(self) -> np.ndarray:
         if self._const is None:
-            self._const = _read_f4(self.root / "constants.bin",
-                                   (len(self.constants),) + self.grid.shape)
+            self._const = read_array(self.root / "constants.bin",
+                                     (len(self.constants),) + self.grid.shape, "<f4")
         return self._const
 
     # -- stats
@@ -370,16 +381,16 @@ class DatasetStore:
         write_json_atomic(self.root / "stats.json", stats.to_json())
 
 
-def _open_f4(path, shape: tuple[int, ...]):
-    """An unbuffered handle on a little-endian float32 file that must hold
-    exactly `shape`."""
+def _open_array(path, shape: tuple[int, ...], dtype: str):
+    """An unbuffered handle on a raw array file that must hold exactly
+    `shape` of `dtype`."""
     f = open(path, "rb", buffering=0)
-    expected = 4 * math.prod(shape)
+    expected = np.dtype(dtype).itemsize * math.prod(shape)
     size = os.fstat(f.fileno()).st_size
     if size != expected:
         f.close()
         raise ConfigError(f"{path}: {size} bytes, expected {expected} for shape "
-                          f"{shape} (truncated or not written by this manifest)")
+                          f"{shape} of {dtype} (truncated or written for another shape)")
     return f
 
 
@@ -392,10 +403,10 @@ def _read_exact(f, buf: memoryview) -> None:
         buf = buf[n:]
 
 
-def _read_f4(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A little-endian float32 file that must hold exactly `shape`."""
-    out = np.empty(shape, dtype="<f4")
-    with _open_f4(path, shape) as f:
+def read_array(path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    """A raw array file that must hold exactly `shape` of `dtype`."""
+    out = np.empty(shape, dtype=dtype)
+    with _open_array(path, shape, dtype) as f:
         _read_exact(f, memoryview(out.reshape(-1).view(np.uint8)))
     return out
 
@@ -494,19 +505,12 @@ def forcing_provider(store: DatasetStore, stats: NormalizationStats):
 
 @dataclass
 class SyntheticConfig:
-    seed: int
-    years: int
+    """A world's settings; the defaults are `rsl gen-data`'s."""
+    seed: int = 0
+    years: int = 3
     grid: GridSpec = field(default_factory=lambda: make_grid(32, 16))
     variable_set: VariableSet = field(default_factory=lambda: variable_set("vars8"))
     start_year: int = 2006
-    band_limit: int = 10          # spectral band limit of the generated fields
-    damping: float = 0.25         # per-step OU memory of the banded modes
-    rotation_steps: int = 128     # solid-body rotation period, in 6 h steps
-    coupling: float = 0.08        # rotation angle mixing neighboring variables
-    seasonal_frac: float = 0.45   # share of variability driven by the season
-    slow_amp: float = 0.25        # amplitude of the interannual (slow) modes
-    slow_band: int = 3            # band limit of the slow modes
-    slow_tau_years: float = 1.0   # e-folding time of the slow modes
 
 
 def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
@@ -518,7 +522,7 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
         raise ConfigError("years must be >= 1")
     grid = cfg.grid
     plan = plan_sht(grid)
-    lb = min(cfg.band_limit, plan.lmax)
+    lb = min(BAND_LIMIT, plan.lmax)
     mb = min(lb, plan.mmax)
     kp = cfg.variable_set.n_prognostic
     rng = np.random.default_rng(cfg.seed)
@@ -530,9 +534,8 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     store = DatasetStore.create(
         out_dir, grid, cfg.variable_set, start, n_steps,
         provenance={"kind": "synthetic", "seed": cfg.seed, "years": cfg.years,
-                    "band_limit": lb, "damping": cfg.damping,
-                    "rotation_steps": cfg.rotation_steps,
-                    "coupling": cfg.coupling})
+                    "band_limit": lb, "damping": DAMPING,
+                    "rotation_steps": ROTATION_STEPS, "coupling": COUPLING})
 
     # Per-degree target spectrum, shared by all variables so that the
     # orthogonal variable mixing preserves stationarity.
@@ -541,16 +544,16 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     mmask = np.zeros((plan.lmax + 1, plan.mmax + 1))
     for l in range(1, lb + 1):
         mmask[l, : min(l, mb) + 1] = 1.0
-    gamma = cfg.damping
+    gamma = DAMPING
     inj = np.sqrt(1.0 - gamma * gamma)
-    phase = np.exp(-1j * np.arange(plan.mmax + 1) * 2.0 * np.pi / cfg.rotation_steps)
+    phase = np.exp(-1j * np.arange(plan.mmax + 1) * 2.0 * np.pi / ROTATION_STEPS)
 
     # Orthogonal coupling between consecutive variables.
     if kp > 1:
         a = np.zeros((kp, kp))
         for i in range(kp):
             a[i, (i + 1) % kp] = 1.0
-        qmix = expm(cfg.coupling * (a - a.T))
+        qmix = expm(COUPLING * (a - a.T))
     else:
         qmix = np.ones((1, 1))
 
@@ -576,20 +579,20 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     # Slow interannual modes: low-degree OU with a year-scale memory. Degrees
     # l >= 1 have zero area mean, so global-mean drift diagnostics are
     # unaffected while period climatologies genuinely wander.
-    sb = min(cfg.slow_band, lb)
+    sb = min(SLOW_BAND, lb)
     sigma_slow = np.where((ls >= 1) & (ls <= sb),
-                          cfg.slow_amp / (1.0 + ls) ** 1.5, 0.0)
+                          SLOW_AMP / (1.0 + ls) ** 1.5, 0.0)
     smask = np.zeros_like(mmask)
     for l in range(1, sb + 1):
         smask[l, : min(l, mb) + 1] = 1.0
-    gamma_slow = float(np.exp(-1.0 / (cfg.slow_tau_years * 365.25 * 4)))
+    gamma_slow = float(np.exp(-1.0 / (SLOW_TAU_YEARS * 365.25 * 4)))
     inj_slow = np.sqrt(1.0 - gamma_slow * gamma_slow)
     slow_l, slow_m = np.nonzero(smask)
     slow_state = band_noise(rng.standard_normal((2,) + spec_shape), sigma_slow,
                             slow_l, slow_m)
     base = 270.0 + 30.0 * rng.random(kp)
     amp = 5.0 + 10.0 * rng.random(kp)
-    seas_amp = amp * cfg.seasonal_frac / (1.0 - cfg.seasonal_frac)
+    seas_amp = amp * SEASONAL_FRAC / (1.0 - SEASONAL_FRAC)
 
     # Band-limited zonal seasonal pattern, one profile per day of year,
     # phased by the daily-mean TISR anomaly.

@@ -211,11 +211,9 @@ def climatology_baseline(train_store: DatasetStore, eval_store: DatasetStore,
     return report
 
 
-def aggregate_seeds(reports: list[ScoreReport] | list[float],
-                    seeds: list[int] | None = None) -> dict:
+def aggregate_seeds(scores: list[float], seeds: list[int] | None = None) -> dict:
     """Mean/std over seeds with finite scores only (population std)."""
-    values = [r.aggregate if isinstance(r, ScoreReport) else float(r)
-              for r in reports]
+    values = [float(s) for s in scores]
     seeds = seeds if seeds is not None else list(range(len(values)))
     finite = [v for v in values if math.isfinite(v)]
     out = {

@@ -471,8 +471,6 @@ def model_forward(state: ModelState, x: np.ndarray, f: np.ndarray,
     squeeze = x.ndim == 3
     if squeeze:
         x, f = x[None], f[None]
-    if c.ndim == 3:
-        c = np.broadcast_to(c, (x.shape[0],) + c.shape)
     for name, a in (("X", x), ("F", f), ("C", c)):
         if not np.all(np.isfinite(a)):
             raise NonFiniteError(f"non-finite values in model input {name}")

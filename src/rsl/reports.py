@@ -12,19 +12,20 @@ tuple (arch, variable_set, kp, m_steps, layers, dim). per_seed holds
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetStore, parse_timestamp
+from .atomic import read_json
+from .data import DatasetStore, parse_timestamp, read_array
 from .errors import ConfigError
 from .evaluate import _reference_stats, aggregate_seeds
 
 SUMMARY_COLUMNS = ("config", "arch", "variable_set", "kp", "m_steps", "layers",
                    "dim", "score_mean", "score_std", "finite_count", "n_seeds",
                    "per_seed")
+Y_CUT = 0.5      # the SVG's score axis ends at or below this
 
 
 def _fmt(x) -> str:
@@ -49,26 +50,22 @@ def collect_summary(sweep_root) -> list[dict]:
     manifest_path = sweep_root / "sweep.json"
     if not manifest_path.exists():
         raise ConfigError(f"no sweep.json under {sweep_root}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    if not manifest.get("runs"):
+    runs = read_json(manifest_path, lambda doc: [
+        (e["id"], e.get("status"), _group_key(e["config"]), e["config"]["seed"])
+        for e in doc.get("runs") or ()])
+    if not runs:
         raise ConfigError("sweep manifest lists no runs")
     groups: dict[tuple, list] = {}
-    for entry in manifest["runs"]:
-        cfg = entry["config"]
-        key = _group_key(cfg)
-        score_path = sweep_root / entry["id"] / "score.json"
-        score = float("inf")
+    for rid, status, key, seed in runs:
+        score_path = sweep_root / rid / "score.json"
         if score_path.exists():
-            with open(score_path) as f:
-                sj = json.load(f)
-            agg = sj["scores"]["mean"]["aggregate"]
-            score = float("inf") if agg == "inf" else float(agg)
-        elif entry.get("status") == "failed":
+            score = read_json(score_path,
+                              lambda sj: float(sj["scores"]["mean"]["aggregate"]))
+        elif status == "failed":
             score = float("inf")
         else:
             continue   # not rolled out yet; leave out of the table
-        groups.setdefault(key, []).append((cfg["seed"], score, entry["id"]))
+        groups.setdefault(key, []).append((seed, score, rid))
     rows = []
     for key in sorted(groups):
         items = sorted(groups[key])
@@ -80,7 +77,9 @@ def collect_summary(sweep_root) -> list[dict]:
             "layers": layers, "dim": dim,
             "score_mean": agg["mean"], "score_std": agg["std"],
             "finite_count": agg["finite_count"], "n_seeds": agg["n_seeds"],
-            "per_seed": "|".join(f"{sd}={_fmt(s)}" for sd, s, _ in items),
+            # (seed, score) at the precision summary.csv prints, so the SVG
+            # plots the values the table shows
+            "per_seed": [(sd, float(_fmt(s))) for sd, s, _ in items],
             "_runs": [rid for _, _, rid in items],
         })
     return rows
@@ -90,7 +89,8 @@ def write_summary_csv(rows: list[dict], path) -> None:
     with open(path, "w") as f:
         f.write(",".join(SUMMARY_COLUMNS) + "\n")
         for r in rows:
-            f.write(",".join(_fmt(r[c]) for c in SUMMARY_COLUMNS) + "\n")
+            per_seed = "|".join(f"{sd}={_fmt(s)}" for sd, s in r["per_seed"])
+            f.write(",".join([_fmt(r[c]) for c in SUMMARY_COLUMNS[:-1]] + [per_seed]) + "\n")
 
 
 def write_timeseries(sweep_root, run_id: str, out_dir) -> Path | None:
@@ -112,15 +112,12 @@ def write_difference_maps(sweep_root, run_id: str, reference: DatasetStore,
     meta_path = run_dir / "meta.json"
     if not meta_path.exists():
         return []
-    with open(meta_path) as f:
-        meta = json.load(f)
-    variables = meta["variables"]
-    hh = meta["grid"]["n_lat"]
-    ww = meta["grid"]["n_lon"]
-    means = np.fromfile(run_dir / "means.bin", dtype="<f8").reshape(
-        (len(variables), hh, ww))
-    t0 = parse_timestamp(meta["start_time"])
-    ref_mean, _ = _reference_stats(reference, variables, t0, meta["steps"])
+    variables, shape, t0, steps = read_json(meta_path, lambda meta: (
+        meta["variables"], (len(meta["variables"]), meta["grid"]["n_lat"],
+                            meta["grid"]["n_lon"]),
+        parse_timestamp(meta["start_time"]), meta["steps"]))
+    means = read_array(run_dir / "means.bin", shape, "<f8")
+    ref_mean, _ = _reference_stats(reference, variables, t0, steps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -131,17 +128,12 @@ def write_difference_maps(sweep_root, run_id: str, reference: DatasetStore,
     return written
 
 
-def write_scatter_svg(rows: list[dict], path, y_cut: float = 0.5) -> None:
+def write_scatter_svg(rows: list[dict], path) -> None:
     """Minimal scatter: dots = per-config mean, bars = std, crosses = seeds."""
     width, height = 80 + 90 * max(len(rows), 1), 360
     px0, py0, ph = 60, 20, 300
-    finite_scores = []
-    for r in rows:
-        for part in r["per_seed"].split("|"):
-            v = part.split("=")[1]
-            if v not in ("inf", "nan"):
-                finite_scores.append(float(v))
-    ymax = min(max(finite_scores + [0.1]) * 1.15, y_cut)
+    finite_scores = [s for r in rows for _, s in r["per_seed"] if math.isfinite(s)]
+    ymax = min(max(finite_scores + [0.1]) * 1.15, Y_CUT)
 
     def ypix(v):
         return py0 + ph * (1.0 - min(v, ymax) / ymax)
@@ -155,12 +147,8 @@ def write_scatter_svg(rows: list[dict], path, y_cut: float = 0.5) -> None:
     for i, r in enumerate(rows):
         x = px0 + 45 + 90 * i
         shown = 0
-        for part in r["per_seed"].split("|"):
-            v = part.split("=")[1]
-            if v in ("inf", "nan"):
-                continue
-            val = float(v)
-            if val <= ymax:
+        for _, val in r["per_seed"]:
+            if math.isfinite(val) and val <= ymax:
                 shown += 1
                 y = ypix(val)
                 parts.append(f'<path d="M{x - 9} {y - 4} l8 8 m0 -8 l-8 8" '

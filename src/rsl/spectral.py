@@ -129,18 +129,14 @@ def spectral_energy(coeffs: np.ndarray, plan: SHTPlan) -> float:
     return float(np.sum(np.abs(coeffs) ** 2 * d) / (4.0 * np.pi))
 
 
-def synthesize_random(plan: SHTPlan, rng: np.random.Generator,
-                      lmax_band: int | None = None,
-                      spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Random band-limited coefficients (and field) up to lmax_band."""
-    lb = plan.lmax_exact if lmax_band is None else lmax_band
+def synthesize_random(plan: SHTPlan, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random band-limited coefficients (and field) up to degree lmax_exact."""
     c = np.zeros((plan.lmax + 1, plan.mmax + 1), dtype=np.complex128)
-    for l in range(lb + 1):
-        amp = 1.0 if spectrum is None else spectrum[l]
+    for l in range(plan.lmax_exact + 1):
         for m in range(min(l, plan.mmax) + 1):
             re = rng.standard_normal()
             im = 0.0 if m == 0 else rng.standard_normal()
-            c[l, m] = amp * (re + 1j * im)
+            c[l, m] = re + 1j * im
     return c, sht_inverse(c, plan)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .atomic import atomic_path, write_json_atomic
+from .atomic import atomic_path, read_json, write_json_atomic
 from .data import (DatasetStore, NormalizationStats, compute_normalization,
                    load_batch, parse_date, parse_variable_set, sample_index,
                    spell_variable_set)
@@ -174,13 +174,11 @@ class AdamState:
 
 
 def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS) -> None:
+              state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update, in place."""
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -188,9 +186,9 @@ def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data = p.data - p.data.dtype.type(lr) * update.astype(p.data.dtype)
 
 
@@ -342,9 +340,12 @@ def _assign(state: ModelState, arrays: dict[str, np.ndarray]) -> None:
 def run_training(cfg: TrainConfig, store: DatasetStore, run_dir) -> TrainRecord:
     """Train and persist the run-directory artifacts.
 
-    Every artefact is written to a temporary file and renamed into place, and
-    `record.json` comes last: sweep resume treats it as "run complete", so it
-    exists only once everything a rollout needs is on disk."""
+    A configuration that train() would refuse is refused before anything is
+    written. Every artefact is written to a temporary file and renamed into
+    place, and `record.json` comes last: sweep resume treats it as "run
+    complete", so it exists only once everything a rollout needs is on disk."""
+    validate_train_config(cfg)
+    check_variables(cfg, store)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_json_atomic(run_dir / "config.json", cfg.to_json())
@@ -354,9 +355,8 @@ def run_training(cfg: TrainConfig, store: DatasetStore, run_dir) -> TrainRecord:
         lines.append(s)
 
     state, record, stats = train(cfg, store, log)
-    for name in ("best.ckpt", "last.ckpt"):   # train() restores the best checkpoint
-        with atomic_path(run_dir / name) as tmp:
-            state.save(tmp)
+    with atomic_path(run_dir / "best.ckpt") as tmp:   # train() restored the best weights
+        state.save(tmp)
     write_json_atomic(run_dir / "stats.json", stats.to_json())
     with atomic_path(run_dir / "log.txt") as tmp:
         tmp.write_text("\n".join(lines) + "\n")
@@ -434,8 +434,7 @@ def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
         rid = run_id(cfg)
         rec_path = root / rid / "record.json"
         if rec_path.exists():
-            with open(rec_path) as f:
-                statuses[rid] = json.load(f).get("status", "ok")
+            statuses[rid] = read_json(rec_path, lambda doc: doc.get("status", "ok"))
             log(f"skip {rid} (completed: {statuses[rid]})")
         else:
             todo.append(cfg)

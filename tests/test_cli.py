@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -6,8 +7,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from rsl.cli import _calendar_steps, _train_config_from, build_parser, main
-from rsl.data import DatasetStore
+from rsl.cli import _SECTIONS, _calendar_steps, _train_config_from, build_parser, main
+from rsl.data import DatasetStore, SyntheticConfig
 from rsl.train import run_id
 
 
@@ -80,6 +81,30 @@ def test_gen_data_malformed_custom_vars_exit2(tmp_path, capsys, spelled):
     assert not (tmp_path / "x").exists()
 
 
+def test_every_generator_field_is_a_dataset_key():
+    # A SyntheticConfig field exists only if a config key and a flag set it;
+    # grid and vars are spelled as strings, and out is a path, not a field.
+    keys = _SECTIONS["dataset"][1]
+    assert keys == {"seed": "seed", "years": "years", "start_year": "start_year",
+                    "grid": "grid", "vars": "variable_set", "out": None}
+    assert {f.name for f in dataclasses.fields(SyntheticConfig)} == set(keys.values()) - {None}
+    args = build_parser().parse_args(["gen-data"])
+    assert all(hasattr(args, key) for key in keys)
+
+
+def test_gen_data_defaults_are_pinned(tmp_path):
+    # Seed 0, 3 years from 2006, 32x16, vars8: SyntheticConfig's defaults are
+    # gen-data's. The digest covers every file's path and sha256 and was taken
+    # when gen-data kept defaults of its own (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+    out = tmp_path / "world"
+    assert run_cli("gen-data", "--out", str(out)) == 0
+    listing = "".join(f"{p.relative_to(out).as_posix()} "
+                      f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+                      for p in sorted(out.rglob("*")) if p.is_file())
+    assert hashlib.sha256(listing.encode()).hexdigest() == \
+        "8d0a255bacf540a9880d829822fee282c19220678cfc222c038a41a121b69919"
+
+
 def test_gen_data_three_years_vars8_step_count(tmp_path):
     out = tmp_path / "v8"
     assert run_cli("gen-data", "--seed", "7", "--years", "3", "--grid", "32x16",
@@ -93,8 +118,7 @@ def test_gen_data_three_years_vars8_step_count(tmp_path):
 # ----------------------------------------------------------------- train
 
 def test_train_artifacts(cli_run):
-    for name in ("config.json", "record.json", "best.ckpt", "last.ckpt",
-                 "log.txt", "stats.json"):
+    for name in ("config.json", "record.json", "best.ckpt", "log.txt", "stats.json"):
         assert (cli_run / name).exists()
     record = json.loads((cli_run / "record.json").read_text())
     assert record["status"] == "ok"
@@ -121,6 +145,7 @@ def test_train_replication_mode_validates(cli_store, tmp_path, capsys):
                    "--run-dir", str(tmp_path / "r"))
     assert code == 2
     assert "replication" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()     # a refused run writes nothing
 
 
 def test_train_nonfinite_loss_exit3(cli_store, tmp_path):
@@ -246,7 +271,7 @@ def test_variable_set_must_match_the_store(cli_store, cli_run, tmp_path, capsys)
     assert_exit2_naming("train", "--data", str(cli_store), "--arch", "sfno",
                         "--layers", "1", "--dim", "8", "--vars", "vars8",
                         "--run-dir", str(tmp_path / "t"))
-    assert not (tmp_path / "t" / "record.json").exists()
+    assert not (tmp_path / "t").exists()     # a refused run writes nothing
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, variable_sets=["vars8"])}))
     assert_exit2_naming("sweep", "--config", str(cfg), "--data", str(cli_store),
@@ -398,7 +423,8 @@ def test_score_json_survives_a_failed_write(cli_run, cli_store, tmp_path, monkey
         f.write(json.dumps(doc, **kw)[:200])
         raise OSError("disk full")
 
-    monkeypatch.setattr(atomic, "json", types.SimpleNamespace(dump=dump_half_then_fail))
+    monkeypatch.setattr(atomic, "json", types.SimpleNamespace(dump=dump_half_then_fail,
+                                                              load=json.load))
     with pytest.raises(OSError, match="disk full"):
         run_cli(*args[:-1], "80")
     assert (run / "score.json").read_bytes() == before
@@ -510,8 +536,14 @@ def test_report_summary_schema(cli_sweep, tmp_path):
     assert len(lines) == 2
     row = lines[1].split(",")
     assert row[1] == "sfno" and row[9] == "2" and row[10] == "2"
-    assert (out / "scores.svg").exists()
     assert len(list((out / "timeseries").iterdir())) == 2
+    # Taken when the SVG re-parsed the per_seed column (numpy 2.4, OpenBLAS
+    # 0.3.31, x86-64): the table and the plot of this sweep are unchanged.
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("summary.csv", "scores.svg")}
+    assert digests == {
+        "summary.csv": "2a3004495966b14d875a351373e594e92ca6cd2363a72e9fc390e4160daa87d4",
+        "scores.svg": "4ea83d68252f8db542bd98d2450927ebb71bfe543b6505bb3a3647fb68e9235d"}
 
 
 def test_report_matches_aggregate_oracle(cli_sweep, tmp_path):
@@ -538,6 +570,23 @@ def test_report_idempotent(cli_sweep, tmp_path):
 
 def test_report_empty_sweep_exit2(tmp_path):
     assert run_cli("report", "--sweep-root", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("artefact", ["score.json", "sweep.json", "means.bin",
+                                      "manifest.json"])
+def test_report_on_a_truncated_artefact_exit2(cli_sweep, cli_store, tmp_path, capsys,
+                                              artefact):
+    root, store = tmp_path / "root", tmp_path / "ds"
+    shutil.copytree(cli_sweep, root)
+    shutil.copytree(cli_store, store)
+    run = root / json.loads((root / "sweep.json").read_text())["runs"][0]["id"]
+    path = {"score.json": run / "score.json", "sweep.json": root / "sweep.json",
+            "means.bin": run / "rollout" / "means.bin",
+            "manifest.json": store / "manifest.json"}[artefact]
+    path.write_bytes(path.read_bytes()[:-10])       # as if a copy was cut short
+    assert run_cli("report", "--sweep-root", str(root), "--out", str(tmp_path / "rep"),
+                   "--reference", str(store)) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_report_difference_maps(cli_sweep, cli_store, tmp_path):
