@@ -34,10 +34,15 @@ def write_json_atomic(path, doc) -> None:
 
 def read_json(path, parse=lambda doc: doc):
     """`parse` of the JSON document at `path`. A file that is not JSON, or
-    that `parse` rejects, raises ConfigError naming the file."""
+    that `parse` rejects, raises ConfigError naming the file; any other
+    error propagates unchanged."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:     # not JSON, or not text
+            raise ConfigError(f"{path}: {exc}") from exc
     try:
-        with open(path) as f:
-            return parse(json.load(f))
+        return parse(doc)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
     except (ValueError, TypeError, AttributeError) as exc:

@@ -16,6 +16,7 @@ arithmetic is composed from real ops.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -378,22 +379,21 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------- real FFTs
 
-def rfft(a: Tensor) -> Tensor:
-    """Real FFT along the last axis; output stacks (re, im) on a new axis 0.
-
-    Unnormalized numpy convention: shape (2, ..., n//2 + 1). Computed in the
-    tensor's own precision.
-    """
-    n = a.shape[-1]
+def _rfftn(a: Tensor, nd: int, op: str) -> Tensor:
+    """Real FFT over the last `nd` axes in numpy's unnormalized convention and
+    the tensor's own precision; (re, im) are stacked on a new axis 0, so a
+    last axis of length n becomes (2, ..., n//2 + 1)."""
+    shape = a.shape[-nd:]
+    axes = tuple(range(-nd, 0))
     cplx = np.complex64 if a.dtype == np.float32 else np.complex128
-    z = np.fft.rfft(a.data, axis=-1)
+    z = np.fft.rfftn(a.data, axes=axes)
     na = _node(a)
 
     def vjp(g):
-        pad = np.zeros(g.shape[1:-1] + (n,), dtype=cplx)
-        pad[..., : n // 2 + 1] = g[0] + 1j * g[1]
-        _accum(na, np.fft.ifft(pad, axis=-1).real * n)
-    return _out(np.stack([z.real, z.imag]), "real-FFT-1d", (na,), vjp)
+        pad = np.zeros(g.shape[1:-1] + shape[-1:], dtype=cplx)
+        pad[..., : shape[-1] // 2 + 1] = g[0] + 1j * g[1]
+        _accum(na, np.fft.ifftn(pad, axes=axes).real * math.prod(shape))
+    return _out(np.stack([z.real, z.imag]), op, (na,), vjp)
 
 
 def _irfft_adjoint(g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -411,57 +411,50 @@ def _irfft_adjoint(g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return gr, gi
 
 
-def irfft(z: Tensor, n: int) -> Tensor:
-    """Inverse of `rfft`: input (2, ..., n//2 + 1) stacked re/im, output (..., n).
+def _irfftn(z: Tensor, shape: tuple[int, ...], op: str) -> Tensor:
+    """Inverse of `_rfftn` for a real target of trailing shape `shape`.
 
-    A plain linear map of both parts; the imaginary parts of the DC and
-    Nyquist bins contribute nothing (numpy irfft convention).
-    """
-    nb = n // 2 + 1
-    if z.shape[0] != 2 or z.shape[-1] != nb:
-        raise ShapeError(f"irfft expects (2, ..., {nb}), got {z.shape}")
-    y = np.fft.irfft(z.data[0] + 1j * z.data[1], n=n, axis=-1)
+    numpy's decomposition: ifft along each leading axis, then irfft along the
+    last, so it is a plain linear map of the given re/im values (the
+    imaginary parts of the DC and Nyquist bins contribute nothing); the
+    adjoint composes the factor adjoints."""
+    shape = tuple(shape)
+    want = shape[:-1] + (shape[-1] // 2 + 1,)
+    if z.shape[0] != 2 or z.shape[-len(shape):] != want:
+        name = "irfft" if len(shape) == 1 else f"irfft{len(shape)}"
+        raise ShapeError(f"{name} expects (2, ..., {', '.join(map(str, want))}), "
+                         f"got {z.shape}")
+    axes = tuple(range(-len(shape), 0))
+    y = np.fft.irfftn(z.data[0] + 1j * z.data[1], s=shape, axes=axes)
     nz = _node(z)
 
     def vjp(g):
-        _accum(nz, np.stack(_irfft_adjoint(g, n)))
-    return _out(y, "inverse-real-FFT-1d", (nz,), vjp)
+        gr, gi = _irfft_adjoint(g, shape[-1])
+        for axis, n in zip(axes, shape[:-1]):
+            gc = np.fft.fft(gr + 1j * gi, axis=axis) / n
+            gr, gi = gc.real, gc.imag
+        _accum(nz, np.stack([gr, gi]))
+    return _out(y, op, (nz,), vjp)
+
+
+def rfft(a: Tensor) -> Tensor:
+    """Real FFT along the last axis: (..., n) -> (2, ..., n//2 + 1)."""
+    return _rfftn(a, 1, "real-FFT-1d")
+
+
+def irfft(z: Tensor, n: int) -> Tensor:
+    """Inverse of `rfft`: (2, ..., n//2 + 1) -> (..., n)."""
+    return _irfftn(z, (n,), "inverse-real-FFT-1d")
 
 
 def rfft2(a: Tensor) -> Tensor:
-    """Real 2D FFT over the last two axes; output (2, ..., H, W//2 + 1)."""
-    hh, ww = a.shape[-2], a.shape[-1]
-    cplx = np.complex64 if a.dtype == np.float32 else np.complex128
-    z = np.fft.rfft2(a.data, axes=(-2, -1))
-    na = _node(a)
-
-    def vjp(g):
-        pad = np.zeros(g.shape[1:-1] + (ww,), dtype=cplx)
-        pad[..., : ww // 2 + 1] = g[0] + 1j * g[1]
-        _accum(na, np.fft.ifft2(pad, axes=(-2, -1)).real * (hh * ww))
-    return _out(np.stack([z.real, z.imag]), "real-FFT-2d", (na,), vjp)
+    """Real 2D FFT over the last two axes: (..., H, W) -> (2, ..., H, W//2 + 1)."""
+    return _rfftn(a, 2, "real-FFT-2d")
 
 
 def irfft2(z: Tensor, shape: tuple[int, int]) -> Tensor:
-    """Inverse of `rfft2` for a real target of trailing shape (H, W).
-
-    Computed as ifft along the row axis followed by irfft along the last axis
-    (numpy's irfft2 decomposition), so it is a plain linear map of the given
-    re/im values; the adjoint composes the two factor adjoints.
-    """
-    hh, ww = shape
-    nb = ww // 2 + 1
-    if z.shape[0] != 2 or z.shape[-1] != nb or z.shape[-2] != hh:
-        raise ShapeError(f"irfft2 expects (2, ..., {hh}, {nb}), got {z.shape}")
-    zc = z.data[0] + 1j * z.data[1]
-    y = np.fft.irfft(np.fft.ifft(zc, axis=-2), n=ww, axis=-1)
-    nz = _node(z)
-
-    def vjp(g):
-        gr, gi = _irfft_adjoint(g, ww)
-        gc = np.fft.fft(gr + 1j * gi, axis=-2) / hh
-        _accum(nz, np.stack([gc.real, gc.imag]))
-    return _out(y, "inverse-real-FFT-2d", (nz,), vjp)
+    """Inverse of `rfft2` for a real target of trailing shape (H, W)."""
+    return _irfftn(z, shape, "inverse-real-FFT-2d")
 
 
 # ---------------------------------------------------------------- complex

@@ -27,14 +27,12 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
-import numpy as np
-
 from .atomic import read_json, write_json_atomic
 from .data import (DatasetStore, NormalizationStats, SyntheticConfig,
                    compute_normalization, forcing_provider,
                    generate_synthetic_climate, normalized_constants,
-                   parse_date, parse_timestamp, parse_variable_set, range_end,
-                   spell_variable_set)
+                   normalized_fields, parse_date, parse_timestamp,
+                   parse_variable_set, range_end, spell_variable_set)
 from .errors import ConfigError, check_type
 from .evaluate import climatology_baseline, rollout, stability_score
 from .grid import area_weights, make_grid
@@ -214,24 +212,34 @@ def cmd_rollout(args) -> int:
         start = parse_timestamp(args.start)
     else:
         start = parse_date(cfg.val_end) + timedelta(days=1)
-    n_steps = args.steps if args.steps else _calendar_steps(start, args.years)
+    for flag in ("steps", "years"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+    n_steps = args.steps if args.steps is not None else _calendar_steps(start, args.years)
+    i0 = reference.time_index(start)
+    if i0 + n_steps > reference.n_steps:
+        raise ConfigError(f"a rollout of {n_steps} steps from {start.isoformat()} "
+                          f"runs past the end of the reference {args.reference} "
+                          f"({reference.end.isoformat()})")
+    if train_store.grid.shape != reference.grid.shape:
+        raise ConfigError(f"the training store {args.data} and the reference "
+                          f"{args.reference} are on different grids")
+    t_start = parse_date(cfg.train_start)
+    t_steps = train_store.time_index(range_end(parse_date(cfg.train_end))) \
+        - train_store.time_index(t_start) + 1
 
     state = build_model(cfg.model, reference.grid, cfg.seed)
     state.load(ckpt)
     weights = area_weights(reference.grid)
     varset = reference.varset
-    i0 = reference.time_index(start)
-    x0 = np.stack([stats.normalize(v, reference.read_steps(v, [i0])[0])
-                   for v in reference.prognostic]).astype(np.float32)
+    x0 = normalized_fields(reference, stats, reference.prognostic, [i0])[0]
     c = normalized_constants(reference)
     base_provider = forcing_provider(reference, stats)
     stats_out = rollout(state, x0, lambda m: base_provider(i0 + m), c, n_steps,
                         stats, weights, reference.prognostic, start_time=start)
     stats_out.save(run_dir / "rollout")
 
-    t_start = parse_date(cfg.train_start)
-    t_steps = train_store.time_index(range_end(parse_date(cfg.train_end))) \
-        - train_store.time_index(t_start) + 1
     scores = {}
     clim = {}
     for mode in ("mean", "std"):

@@ -11,7 +11,6 @@ On-disk layout (format "RSL-DS-1"):
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -256,8 +255,7 @@ class DatasetStore:
         }
         if provenance:
             manifest["generator"] = provenance
-        with open(root / "manifest.json", "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
+        write_json_atomic(root / "manifest.json", manifest)
         return DatasetStore(root, manifest)
 
     # -- time axis
@@ -471,6 +469,17 @@ def normalized_constants(store: DatasetStore) -> np.ndarray:
     return out
 
 
+def normalized_fields(store: DatasetStore, stats: NormalizationStats,
+                      variables, steps) -> np.ndarray:
+    """Normalized float32 fields of `variables` at store steps `steps`, shape
+    steps.shape + (K, H, W), from one `read_steps` call per variable."""
+    steps = np.asarray(steps)
+    out = np.empty(steps.shape + (len(variables),) + store.grid.shape, np.float32)
+    for k, v in enumerate(variables):
+        out[..., k, :, :] = stats.normalize(v, store.read_steps(v, steps))
+    return out
+
+
 def load_batch(store: DatasetStore, stats: NormalizationStats,
                timestamps: list[datetime], m_steps: int):
     """Normalized training tensors for a batch of initial conditions.
@@ -481,23 +490,16 @@ def load_batch(store: DatasetStore, stats: NormalizationStats,
     base = np.array([store.time_index(t) for t in timestamps])
     if np.any(base + m_steps >= store.n_steps):
         raise ConfigError("batch horizon extends past the store time axis")
-    x_seq, f_seq = [], []
-    for m in range(m_steps + 1):
-        x = np.stack([stats.normalize(v, store.read_steps(v, base + m))
-                      for v in store.prognostic], axis=1)
-        x_seq.append(x.astype(np.float32))
-        if m < m_steps:
-            f = np.stack([stats.normalize(v, store.read_steps(v, base + m))
-                          for v in store.forcings], axis=1)
-            f_seq.append(f.astype(np.float32))
-    return x_seq, f_seq, normalized_constants(store)
+    steps = np.arange(m_steps + 1)[:, None] + base          # (M + 1, B)
+    x = normalized_fields(store, stats, store.prognostic, steps)
+    f = normalized_fields(store, stats, store.forcings, steps[:-1])
+    return list(x), list(f), normalized_constants(store)
 
 
 def forcing_provider(store: DatasetStore, stats: NormalizationStats):
     """step_index -> normalized forcing (K_f, H, W), for rollouts."""
     def provide(i: int) -> np.ndarray:
-        return np.stack([stats.normalize(v, store.read_steps(v, [i])[0])
-                         for v in store.forcings]).astype(np.float32)
+        return normalized_fields(store, stats, store.forcings, [i])[0]
     return provide
 
 
@@ -520,6 +522,11 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     and fully determined by the seed."""
     if cfg.years < 1:
         raise ConfigError("years must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if not 1 <= cfg.start_year <= datetime.max.year - cfg.years:
+        raise ConfigError(f"start_year must be in 1..{datetime.max.year - cfg.years} "
+                          f"for {cfg.years} years, got {cfg.start_year}")
     grid = cfg.grid
     plan = plan_sht(grid)
     lb = min(BAND_LIMIT, plan.lmax)

@@ -21,7 +21,7 @@ import numpy as np
 from .atomic import atomic_path, write_json_atomic
 from .data import DatasetStore, NormalizationStats, VariableSet
 from .errors import ConfigError, ShapeError
-from .grid import AreaWeights, GridSpec
+from .grid import AreaWeights, GridSpec, area_weighted_mean
 from .models import ModelState, model_forward
 
 BLOWUP_BOUND = 1e4   # |normalized value| beyond this counts as a blow-up
@@ -56,9 +56,7 @@ class RolloutStats:
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
-        w = weights.weights
-        self.global_means.append(
-            (x * w[None, :, None]).mean(axis=(1, 2)))
+        self.global_means.append(area_weighted_mean(x, weights))
 
     @property
     def std(self) -> np.ndarray:
@@ -151,8 +149,7 @@ def _reference_stats(store: DatasetStore, variables, t0: datetime,
 
 
 def _area_rmse(diff: np.ndarray, weights: AreaWeights) -> float:
-    w = weights.weights
-    return float(np.sqrt((diff.astype(np.float64) ** 2 * w[:, None]).mean()))
+    return float(np.sqrt(area_weighted_mean(diff.astype(np.float64) ** 2, weights)))
 
 
 def stability_score(rollout_stats: RolloutStats, reference: DatasetStore,

@@ -66,11 +66,11 @@ def area_weights(grid: GridSpec) -> AreaWeights:
     return AreaWeights(weights=c / c.mean())
 
 
-def area_weighted_mean(field: np.ndarray, weights: AreaWeights) -> float:
-    """Area-weighted mean over the trailing (lat, lon) axes of `field`."""
-    field = np.asarray(field)
+def area_weighted_mean(field: np.ndarray, weights: AreaWeights) -> np.ndarray:
+    """Area-weighted float64 mean over the trailing (lat, lon) axes of `field`."""
+    field = np.asarray(field, np.float64)
     h = len(weights)
     if field.ndim < 2 or field.shape[-2] != h:
         raise ShapeError(f"field shape {field.shape} does not match {h} latitudes")
-    w = weights.weights.astype(np.float64)
-    return (w[:, None] * field.astype(np.float64)).mean(axis=(-2, -1))
+    w = np.asarray(weights.weights, np.float64)
+    return (w[:, None] * field).mean(axis=(-2, -1))

@@ -431,8 +431,7 @@ def _attention(x: ad.Tensor, params: dict, prefix: str, n_heads: int) -> ad.Tens
 def climax_decode(tokens: ad.Tensor, params: dict, spec: ModelSpec,
                   grid: GridSpec) -> ad.Tensor:
     """Depth-2 decoder MLP mapping tokens to patch increments, un-patched."""
-    h = ad.gelu(ad.add(ad.matmul(tokens, params["dec.w1"]), params["dec.b1"]))
-    y = ad.add(ad.matmul(h, params["dec.w2"]), params["dec.b2"])
+    y = _mlp(tokens, params, "dec")
     ph, pw = spec.patch_size
     return _unpatchify(y, spec.n_prognostic, grid.n_lat, grid.n_lon, ph, pw)
 

@@ -28,7 +28,7 @@ from .data import (DatasetStore, NormalizationStats, compute_normalization,
                    load_batch, parse_date, parse_variable_set, sample_index,
                    spell_variable_set)
 from .errors import ConfigError, NonFiniteError, dataclass_kwargs
-from .grid import AreaWeights, area_weights
+from .grid import AreaWeights, area_weighted_mean, area_weights
 from .models import (ModelSpec, ModelState, build_model, model_forward_t,
                      model_spec, unread_fields)
 
@@ -82,8 +82,13 @@ class TrainConfig:
 
 
 def validate_train_config(cfg: TrainConfig) -> None:
-    if cfg.m_steps < 1 or cfg.batch_size < 1 or cfg.epochs < 1:
-        raise ConfigError("m_steps, batch_size and epochs must be positive")
+    for name, low in (("m_steps", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0),
+                      ("early_stop_patience", 1)):
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+    for name in ("lr", "grad_clip_norm"):      # lr is lr_init or the arch default
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
     if cfg.replication:
         if cfg.m_steps not in REPLICATION_M:
             raise ConfigError(f"replication mode requires M in {REPLICATION_M}")
@@ -152,13 +157,11 @@ def multi_step_loss(state: ModelState, x_seq: list[np.ndarray], f_seq: list[np.n
 
 def persistence_loss(x_seq: list[np.ndarray], weights: AreaWeights) -> float:
     """The same objective for the trivial f=0 model (no graph)."""
-    w = np.asarray(weights.weights, np.float64)
     x0 = np.asarray(x_seq[0], np.float64)
-    h, ww = x0.shape[-2:]
     total = 0.0
     for m in range(1, len(x_seq)):
         d2 = (x0 - np.asarray(x_seq[m], np.float64)) ** 2
-        total += ((d2 * w[:, None]).sum(axis=(-2, -1)) / (h * ww)).mean()
+        total += area_weighted_mean(d2, weights).mean()
     return total / (len(x_seq) - 1)
 
 
@@ -422,9 +425,10 @@ def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> tuple[str, st
 def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
               log=lambda s: None) -> dict:
     """Execute every run as share-nothing workers; resumable. Every config is
-    checked against the store before the first run starts."""
+    validated, and checked against the store, before the first run starts."""
     store = DatasetStore.open(store_dir)
     for cfg in configs:
+        validate_train_config(cfg)
         check_variables(cfg, store)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)

@@ -221,6 +221,7 @@ def test_determinism(tmp_path_factory):
            f"replay identical={same}, seeds 597/1152 differ={differ}", t0)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("arch", ["sfno", "fcn", "climax"])
 def test_trainability(world, arch):
     t0 = time.time()
@@ -230,6 +231,7 @@ def test_trainability(world, arch):
            f"val/persistence={ratio:.3f}", t0)
 
 
+@pytest.mark.slow
 def test_stability_harness(world):
     t0 = time.time()
     grid = world.grid

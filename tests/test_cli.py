@@ -148,6 +148,38 @@ def test_train_replication_mode_validates(cli_store, tmp_path, capsys):
     assert not (tmp_path / "r").exists()     # a refused run writes nothing
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("train", "--seed", "-1"), "seed"),
+    (("train", "--lr", "-0.001"), "lr"),
+    (("train", "--grad-clip", "-1"), "grad_clip_norm"),
+    (("train", "--patience", "0"), "early_stop_patience"),
+    (("gen-data", "--seed", "-1"), "seed"),
+    (("gen-data", "--start-year", "0"), "start_year"),
+    (("gen-data", "--start-year", "9998"), "start_year"),    # ends in year 10001
+    (("sweep",), "seed"),                      # the second of the grid's seeds is -1
+], ids=["train-seed", "train-lr", "train-grad-clip", "train-patience", "gen-data-seed",
+        "gen-data-start-year-0", "gen-data-start-year-9998", "sweep-seed"])
+def test_bad_training_and_generator_values_exit2(cli_store, tmp_path, capsys, argv, key):
+    command, *flags = argv
+    out = tmp_path / "out"
+    if command == "train":
+        argv = (command, "--data", str(cli_store), "--arch", "sfno", "--layers", "1",
+                "--dim", "8", "--train-start", "2006-01-01", "--train-end", "2006-01-31",
+                "--val-start", "2006-02-01", "--val-end", "2006-02-07",
+                "--batch-size", "64", "--epochs", "2", *flags, "--run-dir", str(out))
+    elif command == "sweep":
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, seeds=[597, -1]),
+                                   "training": SHORT_TRAINING}))
+        argv = (command, "--config", str(cfg), "--data", str(cli_store),
+                "--run-root", str(out))
+    else:
+        argv = (command, "--grid", "16x8", "--vars", "custom:3", *flags, "--out", str(out))
+    assert run_cli(*argv) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_nonfinite_loss_exit3(cli_store, tmp_path):
     code = run_cli("train", "--data", str(cli_store), "--arch", "sfno",
                    "--layers", "1", "--dim", "8", "--m-steps", "1",
@@ -405,6 +437,31 @@ def test_rollout_checkpoint_of_another_shape_exit2(cli_run, cli_store, tmp_path,
     assert run_cli("rollout", "--run", str(other), "--reference", str(cli_store),
                    "--steps", "8") == 2
     assert "'enc.w' has shape" in capsys.readouterr().err
+
+
+def test_refused_rollout_writes_nothing(cli_run, cli_store, tmp_path, capsys):
+    run = tmp_path / "refused_run"
+    shutil.copytree(cli_run, run)
+    args = ("rollout", "--run", str(run), "--reference", str(cli_store),
+            "--start", "2007-06-01T00:00:00")
+    assert run_cli(*args, "--steps", "40") == 0
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+
+    before = files()
+    other = tmp_path / "ds32x16"
+    assert run_cli("gen-data", "--seed", "7", "--years", "2", "--grid", "32x16",
+                   "--vars", "custom:3", "--out", str(other)) == 0
+    # 856 steps are left in the store from the start
+    for flags, named in ((("--steps", "-5"), "--steps"), (("--steps", "0"), "--steps"),
+                         (("--years", "0"), "--years"),
+                         (("--steps", "857"), "past the end of the reference"),
+                         (("--steps", "8", "--data", str(other)), "different grids")):
+        assert run_cli(*args, *flags) == 2
+        assert named in capsys.readouterr().err
+        assert files() == before
+    assert run_cli(*args, "--steps", "856") == 0
 
 
 def test_score_json_survives_a_failed_write(cli_run, cli_store, tmp_path, monkeypatch):

@@ -201,6 +201,23 @@ def test_window_moments_past_the_end_rejected(small_store):
             small_store.window_moments("vas", i0, count)
 
 
+def test_read_json_blames_the_file_only_for_its_own_faults(tmp_path, monkeypatch):
+    import json
+    import types
+    from rsl import atomic
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": 1}')
+    with pytest.raises(ConfigError, match="doc.json: missing key 'b'"):
+        atomic.read_json(path, lambda doc: doc["b"])
+    path.write_text('{"a": ')
+    with pytest.raises(ConfigError, match="doc.json"):
+        atomic.read_json(path)
+    # a fault of the reader itself is not the file's
+    monkeypatch.setattr(atomic, "json", types.SimpleNamespace(dump=json.dump))
+    with pytest.raises(AttributeError, match="load"):
+        atomic.read_json(path)
+
+
 def test_stats_json_survives_a_failed_write(small_store, tmp_path, monkeypatch):
     import json
     import types
@@ -322,21 +339,31 @@ def test_generator_yearly_drift_small(small_store):
     assert np.ptp(yearly) < 0.05 * intra
 
 
-def test_load_batch_matches_slicing_oracle(small_store):
+def test_load_batch_matches_slicing_oracle(small_store, monkeypatch):
     stats = D.compute_normalization(small_store, datetime(2006, 1, 1),
                                     datetime(2007, 12, 31))
-    ts = [datetime(2006, 3, 1, 6), datetime(2007, 7, 15, 18)]
-    x_seq, f_seq, c = D.load_batch(small_store, stats, ts, 2)
-    assert len(x_seq) == 3 and len(f_seq) == 2
-    # oracle: slice the raw arrays directly, then normalize
-    i = small_store.time_index(ts[1])
-    raw = small_store.read_steps("vas", [i + 2])[0]
-    k = small_store.prognostic.index("vas")
-    mu, sd = stats.values["vas"]
-    assert np.allclose(x_seq[2][1, k], (raw - mu) / sd, atol=1e-6)
-    tisr_raw = small_store.read_steps("tisr", [i + 1])[0]
-    mu, sd = stats.values["tisr"]
-    assert np.allclose(f_seq[1][1, 0], (tisr_raw - mu) / sd, atol=1e-6)
+    starts = D.sample_index(datetime(2006, 1, 1), datetime(2007, 12, 31), 4,
+                            small_store.end)
+    order = np.random.default_rng(3).permutation(len(starts))[:32]
+    ts = [starts[i] for i in order]                     # a shuffled batch of 32
+    read = small_store.read_steps
+    for m_steps in (1, 2, 4):
+        calls = []
+        monkeypatch.setattr(small_store, "read_steps",
+                            lambda v, steps: calls.append(v) or read(v, steps))
+        x_seq, f_seq, c = D.load_batch(small_store, stats, ts, m_steps)
+        monkeypatch.undo()
+        # each variable is read once per batch, whatever M is
+        assert sorted(calls) == sorted(small_store.prognostic + small_store.forcings)
+        assert len(x_seq) == m_steps + 1 and len(f_seq) == m_steps
+        # oracle: read each sample's step alone, then normalize
+        for seq, names in ((x_seq, small_store.prognostic), (f_seq, small_store.forcings)):
+            for m, arr in enumerate(seq):
+                assert arr.dtype == np.float32 and arr.flags.c_contiguous
+                steps = [small_store.time_index(t) + m for t in ts]
+                oracle = np.array([[stats.normalize(v, read(v, [i])[0]) for v in names]
+                                   for i in steps], np.float32)
+                assert arr.tobytes() == oracle.tobytes()
 
 
 def test_load_batch_m1_lengths(small_store):
