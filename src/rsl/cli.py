@@ -31,7 +31,7 @@ from .atomic import read_json, write_json_atomic
 from .data import (DatasetStore, NormalizationStats, SyntheticConfig,
                    compute_normalization, forcing_provider,
                    generate_synthetic_climate, normalized_constants,
-                   normalized_fields, parse_date, parse_timestamp,
+                   normalized_fields, parse_timestamp,
                    parse_variable_set, range_end, spell_variable_set)
 from .errors import ConfigError, check_type
 from .evaluate import climatology_baseline, rollout, stability_score
@@ -208,10 +208,9 @@ def cmd_rollout(args) -> int:
     for store in (reference, train_store):
         check_variables(cfg, store)
 
-    if args.start:
-        start = parse_timestamp(args.start)
-    else:
-        start = parse_date(cfg.val_end) + timedelta(days=1)
+    t_start, t_end = cfg.windows["train"]
+    start = parse_timestamp(args.start, "--start") if args.start \
+        else cfg.windows["val"][1] + timedelta(days=1)
     for flag in ("steps", "years"):
         value = getattr(args, flag)
         if value is not None and value < 1:
@@ -225,8 +224,7 @@ def cmd_rollout(args) -> int:
     if train_store.grid.shape != reference.grid.shape:
         raise ConfigError(f"the training store {args.data} and the reference "
                           f"{args.reference} are on different grids")
-    t_start = parse_date(cfg.train_start)
-    t_steps = train_store.time_index(range_end(parse_date(cfg.train_end))) \
+    t_steps = train_store.time_index(range_end(t_end)) \
         - train_store.time_index(t_start) + 1
 
     state = build_model(cfg.model, reference.grid, cfg.seed)

@@ -109,12 +109,20 @@ def spell_variable_set(vs: VariableSet) -> str:
 
 # ---------------------------------------------------------------- time axis
 
-def parse_date(s: str) -> datetime:
-    return datetime.strptime(s, "%Y-%m-%d")
+def parse_date(s: str, key: str = "date") -> datetime:
+    """`s` as YYYY-MM-DD; ConfigError names `key` and `s` otherwise."""
+    try:
+        return datetime.strptime(s, "%Y-%m-%d")
+    except ValueError as exc:
+        raise ConfigError(f"{key} {s!r} is not a YYYY-MM-DD date ({exc})") from exc
 
 
-def parse_timestamp(s: str) -> datetime:
-    return datetime.fromisoformat(s)
+def parse_timestamp(s: str, key: str = "timestamp") -> datetime:
+    """`s` as an ISO timestamp; ConfigError names `key` and `s` otherwise."""
+    try:
+        return datetime.fromisoformat(s)
+    except ValueError as exc:
+        raise ConfigError(f"{key} {s!r} is not an ISO timestamp ({exc})") from exc
 
 
 def range_end(end_date: datetime) -> datetime:

@@ -55,7 +55,29 @@ class ModelSpec:
     use_mlp: bool = True
 
     def __post_init__(self):
+        """ConfigError unless every setting the grid does not decide is valid."""
         object.__setattr__(self, "patch_size", tuple(self.patch_size))
+        if self.arch not in ARCHS:
+            raise ConfigError(f"unknown architecture {self.arch!r}, expected one of {ARCHS}")
+        unread = unread_fields(self.arch, [f.name for f in dataclasses.fields(self)
+                                           if f.name in _ARCH_FIELDS
+                                           and getattr(self, f.name) != f.default])
+        if unread:
+            raise ConfigError(f"{self.arch} does not read the model fields {unread}, "
+                              f"which must keep their defaults")
+        rules = [(f"{name} >= 1", getattr(self, name) >= 1)
+                 for name in ("n_layers", "hidden_dim", "n_prognostic", "n_heads", "n_blocks")]
+        rules += [("both sides of patch_size >= 1", min(self.patch_size) >= 1),
+                  ("int(mlp_ratio * hidden_dim) >= 1", self.mlp_ratio * self.hidden_dim >= 1),
+                  ("0 < hard_threshold_fraction <= 1", 0 < self.hard_threshold_fraction <= 1),
+                  ("sparsity_threshold >= 0", self.sparsity_threshold >= 0)]
+        for rule, ok in rules:
+            if not ok:
+                raise ConfigError(f"a model needs {rule}, got {self}")
+        split = {"climax": "n_heads", "fcn": "n_blocks"}.get(self.arch)
+        if split and self.hidden_dim % getattr(self, split) != 0:
+            raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by "
+                              f"{split} {getattr(self, split)}")
 
     @property
     def n_inputs(self) -> int:
@@ -76,9 +98,7 @@ def model_spec(arch: str, n_layers: int, hidden_dim: int, n_prognostic: int,
     """Build a ModelSpec with the architecture's locked defaults applied.
     `fields` sets the fields the architecture reads; the fields only another
     architecture reads keep their ModelSpec defaults (see unread_fields)."""
-    if arch not in ARCHS:
-        raise ConfigError(f"unknown architecture {arch!r}, expected one of {ARCHS}")
-    kw = dict(_ARCH_DEFAULTS[arch])
+    kw = dict(_ARCH_DEFAULTS.get(arch, {}))
     kw.update((k, v) for k, v in fields.items() if k in kw or k not in _ARCH_FIELDS)
     return ModelSpec(arch=arch, n_layers=n_layers, hidden_dim=hidden_dim,
                      n_prognostic=n_prognostic, n_forcing=n_forcing,
@@ -88,29 +108,6 @@ def model_spec(arch: str, n_layers: int, hidden_dim: int, n_prognostic: int,
 def unread_fields(arch: str, fields) -> list[str]:
     """The names among `fields` that architecture `arch` does not read."""
     return sorted(set(fields) - set(_ARCH_DEFAULTS[arch]))
-
-
-def validate_spec(spec: ModelSpec, grid: GridSpec) -> None:
-    if spec.arch not in ARCHS:
-        raise ConfigError(f"unknown architecture {spec.arch!r}")
-    defaults = ModelSpec(spec.arch, 1, 1, 1)
-    unread = unread_fields(spec.arch, [name for name in _ARCH_FIELDS
-                                       if getattr(spec, name) != getattr(defaults, name)])
-    if unread:
-        raise ConfigError(f"{spec.arch} does not read the model fields {unread}, "
-                          f"which must keep their defaults")
-    if spec.n_layers < 1 or spec.hidden_dim < 1 or spec.n_prognostic < 1:
-        raise ConfigError("n_layers, hidden_dim and n_prognostic must be positive")
-    if spec.arch == "climax" and spec.hidden_dim % spec.n_heads != 0:
-        raise ConfigError(
-            f"hidden_dim {spec.hidden_dim} not divisible by n_heads {spec.n_heads}")
-    if spec.arch == "fcn" and spec.hidden_dim % spec.n_blocks != 0:
-        raise ConfigError(
-            f"hidden_dim {spec.hidden_dim} not divisible by n_blocks {spec.n_blocks}")
-    ph, pw = spec.patch_size
-    if grid.n_lat % ph != 0 or grid.n_lon % pw != 0:
-        raise ConfigError(
-            f"patch size {spec.patch_size} does not divide grid {grid.shape}")
 
 
 @dataclass
@@ -227,7 +224,8 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
 def build_model(spec: ModelSpec, grid: GridSpec, seed: int,
                 dtype=np.float32) -> ModelState:
     """Deterministically initialize parameters from `seed`."""
-    validate_spec(spec, grid)
+    if grid.n_lat % spec.patch_size[0] != 0 or grid.n_lon % spec.patch_size[1] != 0:
+        raise ConfigError(f"patch size {spec.patch_size} does not divide grid {grid.shape}")
     plan = plan_sht(grid, spec.hard_threshold_fraction) if spec.arch == "sfno" else None
     rng = np.random.default_rng(seed)
     params: dict[str, ad.Tensor] = {}

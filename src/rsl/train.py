@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .atomic import atomic_path, read_json, write_json_atomic
-from .data import (DatasetStore, NormalizationStats, compute_normalization,
-                   load_batch, parse_date, parse_variable_set, sample_index,
-                   spell_variable_set)
+from .data import (STEP, DatasetStore, NormalizationStats, compute_normalization,
+                   load_batch, parse_date, parse_variable_set, range_end,
+                   sample_index, spell_variable_set)
 from .errors import ConfigError, NonFiniteError, dataclass_kwargs
 from .grid import AreaWeights, area_weighted_mean, area_weights
 from .models import (ModelSpec, ModelState, build_model, model_forward_t,
@@ -48,7 +49,7 @@ REPLICATION_DIMS = (128, 256, 512)
 PAPER_SEEDS = (597, 1152, 1826, 3909, 6153, 5513, 5707, 9813, 9941, 9982)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     model: ModelSpec
     m_steps: int
@@ -65,9 +66,41 @@ class TrainConfig:
     grad_clip_norm: float = REPLICATION_CLIP
     replication: bool = False
 
+    def __post_init__(self):
+        """ConfigError unless every setting the store does not decide is valid."""
+        for name, low in (("m_steps", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0),
+                          ("early_stop_patience", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "grad_clip_norm"):      # lr is lr_init or the arch default
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for w, (start, end) in self.windows.items():
+            if end < start:
+                raise ConfigError(f"{w}_end {end:%Y-%m-%d} is before {w}_start {start:%Y-%m-%d}")
+        if not self.replication:
+            return
+        for name, allowed in (("m_steps", REPLICATION_M), ("batch_size", (REPLICATION_BATCH,)),
+                              ("epochs", (REPLICATION_EPOCHS,)),
+                              ("early_stop_patience", (REPLICATION_PATIENCE,)),
+                              ("grad_clip_norm", (REPLICATION_CLIP,)),
+                              ("lr", (REPLICATION_LR[self.model.arch],)),
+                              ("model.n_layers", REPLICATION_LAYERS),
+                              ("model.hidden_dim", REPLICATION_DIMS)):
+            value = operator.attrgetter(name)(self)
+            if value not in allowed:
+                raise ConfigError(f"replication mode requires {name} in {allowed}, got {value}")
+
     @property
     def lr(self) -> float:
         return REPLICATION_LR[self.model.arch] if self.lr_init is None else self.lr_init
+
+    @property
+    def windows(self) -> dict:
+        """"train" and "val" -> the first and last day of that date window."""
+        return {w: (parse_date(getattr(self, f"{w}_start"), f"{w}_start"),
+                    parse_date(getattr(self, f"{w}_end"), f"{w}_end"))
+                for w in ("train", "val")}
 
     def to_json(self) -> dict:
         d = dataclasses.asdict(self)
@@ -79,33 +112,6 @@ class TrainConfig:
         d = dataclass_kwargs(TrainConfig, d, "config")
         d["model"] = ModelSpec.from_json(d["model"])
         return TrainConfig(**d)
-
-
-def validate_train_config(cfg: TrainConfig) -> None:
-    for name, low in (("m_steps", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0),
-                      ("early_stop_patience", 1)):
-        if getattr(cfg, name) < low:
-            raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
-    for name in ("lr", "grad_clip_norm"):      # lr is lr_init or the arch default
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
-    if cfg.replication:
-        if cfg.m_steps not in REPLICATION_M:
-            raise ConfigError(f"replication mode requires M in {REPLICATION_M}")
-        if cfg.batch_size != REPLICATION_BATCH:
-            raise ConfigError(f"replication mode requires batch size {REPLICATION_BATCH}")
-        if cfg.epochs != REPLICATION_EPOCHS or cfg.early_stop_patience != REPLICATION_PATIENCE:
-            raise ConfigError("replication mode locks epochs=20, patience=5")
-        if cfg.grad_clip_norm != REPLICATION_CLIP:
-            raise ConfigError("replication mode locks gradient clipping to 0.001")
-        if cfg.lr_init is not None and cfg.lr_init != REPLICATION_LR[cfg.model.arch]:
-            raise ConfigError("replication mode locks the initial learning rate")
-        if cfg.model.n_layers not in REPLICATION_LAYERS:
-            raise ConfigError(f"replication mode requires n_layers in {REPLICATION_LAYERS}, "
-                              f"got {cfg.model.n_layers}")
-        if cfg.model.hidden_dim not in REPLICATION_DIMS:
-            raise ConfigError(f"replication mode requires hidden_dim in {REPLICATION_DIMS}, "
-                              f"got {cfg.model.hidden_dim}")
 
 
 def check_variables(cfg: TrainConfig, store: DatasetStore) -> None:
@@ -122,6 +128,23 @@ def check_variables(cfg: TrainConfig, store: DatasetStore) -> None:
             f"match the dataset {store.root}, which holds "
             f"{spell_variable_set(store.varset)}: prognostic {list(store.prognostic)}, "
             f"forcings {list(store.forcings)}, constants {list(store.constants)}")
+
+
+def check_store(cfg: TrainConfig, store: DatasetStore) -> None:
+    """ConfigError unless `store` holds everything train(cfg) reads from it:
+    the variables (see check_variables) and, for each date window, its first
+    sample with that sample's M-step horizon, so that the window holds at
+    least one sample; all of the training window, which normalization reads."""
+    check_variables(cfg, store)
+    for w, (start, end) in cfg.windows.items():
+        need = start + cfg.m_steps * STEP
+        if w == "train":
+            need = max(need, range_end(end))
+        if start < store.start or need > store.end:
+            raise ConfigError(
+                f"{w}_start..{w}_end {start:%Y-%m-%d}..{end:%Y-%m-%d} at M={cfg.m_steps} "
+                f"needs {start:%Y-%m-%d %H:%M}..{need:%Y-%m-%d %H:%M}, but the store "
+                f"{store.root} spans {store.start:%Y-%m-%d %H:%M}..{store.end:%Y-%m-%d %H:%M}")
 
 
 def run_id(cfg: TrainConfig) -> str:
@@ -247,18 +270,14 @@ def train(cfg: TrainConfig, store: DatasetStore,
           log=lambda s: None) -> tuple[ModelState, TrainRecord, NormalizationStats]:
     """Full training protocol: seeded shuffles, cosine schedule, clipping,
     Adam, patience-based early stopping, best-checkpoint restore."""
-    validate_train_config(cfg)
-    check_variables(cfg, store)
-    t_start, t_end = parse_date(cfg.train_start), parse_date(cfg.train_end)
-    v_start, v_end = parse_date(cfg.val_start), parse_date(cfg.val_end)
+    check_store(cfg, store)
+    (t_start, t_end), (v_start, v_end) = cfg.windows.values()
     stats = compute_normalization(store, t_start, t_end)
     weights = area_weights(store.grid)
     state = build_model(cfg.model, store.grid, cfg.seed)
 
     train_ts = sample_index(t_start, t_end, cfg.m_steps, store.end)
     val_ts = sample_index(v_start, v_end, cfg.m_steps, store.end)
-    if not train_ts or not val_ts:
-        raise ConfigError("empty training or validation sample set")
 
     record = TrainRecord(status="ok", seed=cfg.seed, val_m_steps=cfg.m_steps)
     best_params: dict[str, np.ndarray] | None = None
@@ -341,23 +360,16 @@ def _assign(state: ModelState, arrays: dict[str, np.ndarray]) -> None:
 
 
 def run_training(cfg: TrainConfig, store: DatasetStore, run_dir) -> TrainRecord:
-    """Train and persist the run-directory artifacts.
-
-    A configuration that train() would refuse is refused before anything is
-    written. Every artefact is written to a temporary file and renamed into
-    place, and `record.json` comes last: sweep resume treats it as "run
-    complete", so it exists only once everything a rollout needs is on disk."""
-    validate_train_config(cfg)
-    check_variables(cfg, store)
+    """Train, then write the run-directory artifacts: a configuration train()
+    refuses leaves no run directory. Every artefact is written to a temporary
+    file and renamed into place, and `record.json` comes last: sweep resume
+    treats it as "run complete", so it exists only once everything a rollout
+    needs is on disk."""
+    lines: list[str] = []
+    state, record, stats = train(cfg, store, lines.append)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_json_atomic(run_dir / "config.json", cfg.to_json())
-    lines: list[str] = []
-
-    def log(s: str):
-        lines.append(s)
-
-    state, record, stats = train(cfg, store, log)
     with atomic_path(run_dir / "best.ckpt") as tmp:   # train() restored the best weights
         state.save(tmp)
     write_json_atomic(run_dir / "stats.json", stats.to_json())
@@ -425,11 +437,10 @@ def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> tuple[str, st
 def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
               log=lambda s: None) -> dict:
     """Execute every run as share-nothing workers; resumable. Every config is
-    validated, and checked against the store, before the first run starts."""
+    checked against the store before the first run starts."""
     store = DatasetStore.open(store_dir)
     for cfg in configs:
-        validate_train_config(cfg)
-        check_variables(cfg, store)
+        check_store(cfg, store)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     statuses: dict[str, str] = {}

@@ -12,7 +12,7 @@ from .data import compute_tisr, sample_index
 from .grid import area_weighted_mean, area_weights, make_grid
 from .models import build_model, model_forward, model_spec, parameter_count
 from .spectral import plan_sht, sht_forward, spectral_energy, synthesize_random
-from .train import SweepSpec, cosine_lr, clip_grad_norm, enumerate_runs
+from .train import PAPER_SEEDS, SweepSpec, clip_grad_norm, cosine_lr, enumerate_runs
 
 
 def run_checks() -> list[tuple[str, bool, str]]:
@@ -54,11 +54,11 @@ def run_checks() -> list[tuple[str, bool, str]]:
 
     n = len(sample_index(datetime(1979, 1, 1), datetime(2007, 12, 31)))
     add("42368 training samples", n == 42368, f"n={n}")
-    runs = enumerate_runs(SweepSpec(
+    runs = enumerate_runs(SweepSpec(          # each run's TrainConfig checks the locks
         archs=["climax", "fcn", "sfno"], variable_sets=["vars8", "vars33"],
         m_steps=[1, 2, 4], layers=[4, 6, 8], dims=[128, 256, 512],
-        seeds=list(range(10))))
-    add("1620 sweep runs", len(runs) == 1620, f"n={len(runs)}")
+        seeds=list(PAPER_SEEDS)), replication=True, batch_size=64, epochs=20)
+    add("1620 replication runs", len(runs) == 1620, f"n={len(runs)}")
 
     add("cosine endpoints",
         cosine_lr(0, 20, 4e-3) == 4e-3 and cosine_lr(19, 20, 4e-3) < 3e-5, "")

@@ -270,6 +270,57 @@ def test_config_value_of_the_wrong_type_exit2(cli_store, tmp_path, capsys,
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("arch, key, value, field", [
+    ("sfno", "layers", 0, "n_layers"), ("sfno", "dim", 0, "hidden_dim"),
+    ("climax", "heads", 0, "n_heads"), ("fcn", "blocks", 0, "n_blocks"),
+    ("climax", "patch", [0, 2], "patch_size"), ("climax", "patch", [2, 0], "patch_size"),
+    ("fcn", "mlp_ratio", 0.0, "mlp_ratio"),
+    ("sfno", "mlp_ratio", 0.1, "mlp_ratio"),                   # int(0.1 * 8) == 0
+    ("fcn", "hard_threshold_fraction", 1.5, "hard_threshold_fraction"),
+    ("sfno", "hard_threshold_fraction", 0.0, "hard_threshold_fraction"),
+    ("fcn", "sparsity_threshold", -0.01, "sparsity_threshold")])
+def test_degenerate_model_value_exit2(cli_store, tmp_path, capsys, arch, key, value, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"arch": arch, "layers": 1, "dim": 8, key: value}}))
+    run = tmp_path / "r"
+    assert run_cli("train", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-dir", str(run)) == 2
+    assert field in capsys.readouterr().err
+    assert not run.exists()
+
+
+# Date windows a 2006-2007 store cannot serve, each named by its keys; one that
+# lies outside the store is named with M and the store's span.
+@pytest.mark.parametrize("dates, m, named", [
+    ({"train_start": "2006-13-01"}, 1, "train_start '2006-13-01'"),
+    ({"val_start": "2006-02-30"}, 1, "val_start '2006-02-30'"),
+    ({"val_end": "2006-01-15"}, 1, "val_end 2006-01-15 is before val_start 2006-02-01"),
+    ({"val_start": "2008-01-01", "val_end": "2008-12-31"}, 1,     # the default val year
+     "val_start..val_end 2008-01-01..2008-12-31 at M=1"),
+    ({"val_start": "2005-12-01", "val_end": "2006-01-31"}, 1,
+     "val_start..val_end 2005-12-01..2006-01-31 at M=1"),
+    ({"train_end": "2008-01-31"}, 1, "train_start..train_end 2006-01-01..2008-01-31 at M=1"),
+    ({"val_start": "2007-12-31", "val_end": "2007-12-31"}, 4,     # horizon ends 2008-01-01
+     "val_start..val_end 2007-12-31..2007-12-31 at M=4"),
+], ids=["bad-month", "bad-day", "val-reversed", "val-after-store", "val-before-store",
+        "train-past-store", "val-horizon-past-store"])
+def test_bad_date_window_exit2(cli_store, tmp_path, capsys, dates, m, named):
+    training = dict(SHORT_TRAINING, **dates)
+    flags = [arg for key, v in training.items() for arg in (f"--{key.replace('_', '-')}", str(v))]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, m_steps=[m]), "training": training}))
+    out = tmp_path / "out"
+    for argv in (["train", "--arch", "sfno", "--layers", "1", "--dim", "8",
+                  "--m-steps", str(m), *flags, "--run-dir", str(out)],
+                 ["sweep", "--config", str(cfg), "--run-root", str(out)]):
+        assert run_cli(*argv, "--data", str(cli_store)) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert named in err, err
+        if "M=" in named:
+            assert "spans 2006-01-01 00:00..2007-12-31 18:00" in err
+        assert not out.exists()      # no run directory, no sweep.json
+
+
 def test_quick_start_run_id_is_pinned(small_store):
     # The README quick-start `rsl train` on a vars8 store, in full and without
     # the flags that repeat the defaults. A change that re-keys run ids (a new
@@ -380,6 +431,11 @@ def test_rollout_of_a_run_this_version_did_not_write_exit2(cli_run, cli_store, t
     (old / "config.json").write_text(json.dumps(doc))
     assert run_cli(*args) == 2
     assert "missing required keys ['seed']" in capsys.readouterr().err
+    doc = json.loads((cli_run / "config.json").read_text())
+    (old / "config.json").write_text(json.dumps(dict(doc, m_steps=0)))
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "m_steps must be >= 1" in err
     (old / "config.json").write_text((cli_run / "config.json").read_text()[:-40])
     assert run_cli(*args) == 2
     assert "config.json" in capsys.readouterr().err
@@ -457,6 +513,7 @@ def test_refused_rollout_writes_nothing(cli_run, cli_store, tmp_path, capsys):
     for flags, named in ((("--steps", "-5"), "--steps"), (("--steps", "0"), "--steps"),
                          (("--years", "0"), "--years"),
                          (("--steps", "857"), "past the end of the reference"),
+                         (("--start", "2008-02-30", "--steps", "8"), "--start '2008-02-30'"),
                          (("--steps", "8", "--data", str(other)), "different grids")):
         assert run_cli(*args, *flags) == 2
         assert named in capsys.readouterr().err

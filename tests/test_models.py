@@ -9,7 +9,7 @@ from rsl.errors import ConfigError, NonFiniteError
 from rsl.grid import make_grid
 from rsl.models import (ModelSpec, afno_block, build_model, climax_encode,
                         model_forward, model_forward_t, model_spec,
-                        parameter_count, sfno_block, validate_spec)
+                        parameter_count, sfno_block)
 
 GRID = make_grid(8, 4)
 KP, KF, KC = 2, 1, 2
@@ -138,12 +138,16 @@ def test_checkpoint_of_another_shape_rejected(tmp_path):
 
 
 def test_validate_rejects_bad_configs():
-    with pytest.raises(ConfigError):
-        validate_spec(toy_spec("climax", hidden_dim=18), GRID)   # 18 % 8 != 0
-    with pytest.raises(ConfigError):
-        validate_spec(toy_spec("fcn", hidden_dim=18), GRID)      # 18 % 4 != 0
-    with pytest.raises(ConfigError):
-        validate_spec(toy_spec("climax", patch_size=(3, 3)), GRID)
+    # A spec is checked where it is built; whether its patches tile a grid,
+    # where the model is built on one.
+    with pytest.raises(ConfigError, match="n_heads 8"):
+        toy_spec("climax", hidden_dim=18)
+    with pytest.raises(ConfigError, match="n_blocks 4"):
+        toy_spec("fcn", hidden_dim=18)
+    spec = toy_spec("climax", patch_size=(3, 3))
+    with pytest.raises(ConfigError, match="does not divide"):
+        build_model(spec, GRID, seed=0)
+    build_model(spec, make_grid(12, 6), seed=0)
 
 
 def test_replication_mode_accepts_paper_dims():
@@ -151,12 +155,10 @@ def test_replication_mode_accepts_paper_dims():
         for layers in T.REPLICATION_LAYERS:
             for dim in T.REPLICATION_DIMS:
                 spec = model_spec(arch, layers, dim, KP, n_forcing=KF, n_constant=KC)
-                validate_spec(spec, GRID)
-                T.validate_train_config(T.TrainConfig(
-                    model=spec, m_steps=2, seed=597, variable_set="vars8",
-                    train_start="1979-01-01", train_end="2007-12-31",
-                    val_start="2008-01-01", val_end="2008-12-31",
-                    batch_size=64, epochs=20, replication=True))
+                T.TrainConfig(model=spec, m_steps=2, seed=597, variable_set="vars8",
+                              train_start="1979-01-01", train_end="2007-12-31",
+                              val_start="2008-01-01", val_end="2008-12-31",
+                              batch_size=64, epochs=20, replication=True)
 
 
 def test_table1_defaults():
@@ -213,7 +215,7 @@ def test_every_spec_field_changes_the_model(name):
     # Per architecture: a field it reads changes its model when given a
     # non-default value. A field it does not read is rejected where a user
     # sets it (the run builder) and where a spec is built around model_spec
-    # (dataclasses.replace, a config.json, checked by validate_spec), and
+    # (dataclasses.replace, a config.json: ModelSpec itself checks), and
     # model_spec keeps it at its default.
     assert name in OTHER_VALUES, f"give ModelSpec.{name} a non-default value here"
     for arch in ("sfno", "fcn", "climax"):
@@ -221,11 +223,9 @@ def test_every_spec_field_changes_the_model(name):
         value = OTHER_VALUES[name]
         if value == getattr(base, name):      # climax embeds positions by default
             value = not value
-        if name == "arch":
-            other = toy_spec("climax" if arch == "fcn" else "fcn")
-        else:
-            other = dataclasses.replace(base, **{name: value})
         if name in READS[arch]:
+            other = toy_spec("climax" if arch == "fcn" else "fcn") if name == "arch" \
+                else dataclasses.replace(base, **{name: value})
             assert other != base and _models_differ(base, other), (arch, name)
             continue
         assert toy_spec(arch, **{name: value}) == base
@@ -234,7 +234,9 @@ def test_every_spec_field_changes_the_model(name):
         with pytest.raises(ConfigError, match=f"{arch} does not read .*{name}"):
             T.enumerate_runs(grid, {name: value})
         with pytest.raises(ConfigError, match=f"{arch} does not read .*{name}"):
-            validate_spec(other, GRID)
+            dataclasses.replace(base, **{name: value})
+        with pytest.raises(ConfigError, match=f"{arch} does not read .*{name}"):
+            ModelSpec.from_json(dict(base.to_json(), **{name: value}))
 
 
 def test_forward_rejects_nonfinite():

@@ -215,24 +215,20 @@ def test_replication_mode_locks_protocol():
                        train_start="1979-01-01", train_end="2007-12-31",
                        val_start="2008-01-01", val_end="2008-12-31",
                        batch_size=64, epochs=20, replication=True)
-    T.validate_train_config(ok)
+    free = dataclasses.replace(ok, replication=False)
     for layers, dim in ((5, 128), (4, 100)):    # outside the paper's L and D
-        off_grid = dataclasses.replace(ok, model=model_spec("sfno", layers, dim, 8))
+        off_grid = model_spec("sfno", layers, dim, 8)
         with pytest.raises(ConfigError, match="replication mode requires"):
-            T.validate_train_config(off_grid)
-        T.validate_train_config(dataclasses.replace(off_grid, replication=False))
-    bad = T.TrainConfig(model=spec, m_steps=3, seed=597, variable_set="vars8",
-                        train_start="1979-01-01", train_end="2007-12-31",
-                        val_start="2008-01-01", val_end="2008-12-31",
-                        batch_size=64, epochs=20, replication=True)
-    with pytest.raises(ConfigError):
-        T.validate_train_config(bad)
-    bad2 = T.TrainConfig(model=spec, m_steps=2, seed=597, variable_set="vars8",
-                         train_start="1979-01-01", train_end="2007-12-31",
-                         val_start="2008-01-01", val_end="2008-12-31",
-                         batch_size=32, epochs=20, replication=True)
-    with pytest.raises(ConfigError):
-        T.validate_train_config(bad2)
+            dataclasses.replace(ok, model=off_grid)
+        dataclasses.replace(free, model=off_grid)
+    for change in (dict(m_steps=3), dict(batch_size=32), dict(epochs=5),
+                   dict(early_stop_patience=4), dict(grad_clip_norm=0.01),
+                   dict(lr_init=4e-3)):         # sfno's replication lr is 1e-3
+        with pytest.raises(ConfigError, match="replication mode"):
+            dataclasses.replace(ok, **change)
+        dataclasses.replace(free, **change)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ok.batch_size = 32
 
 
 def test_per_arch_default_lr():
@@ -336,8 +332,7 @@ def test_record_exposes_1step_rmse(micro_store):
 
 
 def test_exploding_run_marked_failed(micro_store, tmp_path):
-    cfg = micro_config(epochs=3)
-    cfg.lr_init = 1e9          # guaranteed blow-up after the first update
+    cfg = dataclasses.replace(micro_config(epochs=3), lr_init=1e9)   # blows up at once
     record = T.run_training(cfg, micro_store, tmp_path / "boom")
     assert record.status == "failed"
     assert record.diagnostics["reason"].startswith("non-finite")
