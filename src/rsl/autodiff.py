@@ -313,17 +313,31 @@ def lat_weighted_mean(a: Tensor, lat_weights: np.ndarray) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    phi = 0.5 * (1.0 + erf(x / _SQRT2))
+    # phi and the derivative are float64 (the constants are float64 scalars).
+    # Built in place, they leave one float64 temporary of x's shape alive
+    # besides phi; one per operation made a training step's peak memory hang
+    # on how the allocator reused them.
+    phi = erf(x / _SQRT2)
+    phi += 1.0
+    phi *= 0.5
     na = _node(a)
     # The derivative is formed here, in the pullback's arithmetic, so the
     # graph keeps one array of the input's dtype instead of x and phi.
     dydx = None
     if na is not None and not _no_grad:
-        dydx = (phi + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))).astype(x.dtype)
+        t = -0.5 * x
+        t *= x
+        d = _INV_SQRT_2PI * np.exp(t, out=t)
+        del t
+        d *= x
+        d += phi
+        dydx = d.astype(x.dtype)
+        del d
+    phi *= x
 
     def vjp(g):
         _accum(na, g * dydx)
-    return _out((x * phi).astype(x.dtype), "GELU", (na,), vjp)
+    return _out(phi.astype(x.dtype), "GELU", (na,), vjp)
 
 
 def softshrink(a: Tensor, lam: float) -> Tensor:

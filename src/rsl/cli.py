@@ -28,7 +28,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from .atomic import read_json, write_json_atomic
-from .data import (DatasetStore, NormalizationStats, SyntheticConfig,
+from .data import (STEP, DatasetStore, NormalizationStats, SyntheticConfig,
                    compute_normalization, forcing_provider,
                    generate_synthetic_climate, normalized_constants,
                    normalized_fields, parse_timestamp,
@@ -141,7 +141,7 @@ def cmd_gen_data(args) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out} is not empty (use --force)")
     store = generate_synthetic_climate(SyntheticConfig(**fields), out)
-    stats = compute_normalization(store, store.start, store.end - timedelta(hours=18))
+    stats = compute_normalization(store, store.start, store.end + STEP - timedelta(days=1))
     store.save_stats(stats)
     print(f"dataset {out}: grid {store.grid.n_lon}x{store.grid.n_lat}, "
           f"{len(store.prognostic)} prognostic variables, "
@@ -191,7 +191,7 @@ def _calendar_steps(start: datetime, years: int) -> int:
     day = 28 if (start.month, start.day) == (2, 29) and not calendar.isleap(year) \
         else start.day
     end = datetime(year, start.month, day, start.hour)
-    return int((end - start).total_seconds()) // (6 * 3600)
+    return (end - start) // STEP
 
 
 def cmd_rollout(args) -> int:
@@ -215,17 +215,19 @@ def cmd_rollout(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {value}")
-    n_steps = args.steps if args.steps is not None else _calendar_steps(start, args.years)
-    i0 = reference.time_index(start)
-    if i0 + n_steps > reference.n_steps:
-        raise ConfigError(f"a rollout of {n_steps} steps from {start.isoformat()} "
-                          f"runs past the end of the reference {args.reference} "
-                          f"({reference.end.isoformat()})")
+    from_start = f"from --start {start.isoformat()}" \
+        + ("" if args.start else " (the day after val_end)")
+    try:
+        n_steps = args.steps if args.steps is not None else _calendar_steps(start, args.years)
+        last = start + (n_steps - 1) * STEP
+    except (OverflowError, ValueError):      # past datetime's last year
+        raise ConfigError(f"a rollout {from_start} ends after {datetime.max:%Y}") from None
+    i0 = reference.steps(start, last, f"a rollout of {n_steps} steps {from_start}").start
     if train_store.grid.shape != reference.grid.shape:
         raise ConfigError(f"the training store {args.data} and the reference "
                           f"{args.reference} are on different grids")
-    t_steps = train_store.time_index(range_end(t_end)) \
-        - train_store.time_index(t_start) + 1
+    t_steps = len(train_store.steps(t_start, range_end(t_end), f"train_start..train_end "
+                                    f"{t_start:%Y-%m-%d}..{t_end:%Y-%m-%d}"))
 
     state = build_model(cfg.model, reference.grid, cfg.seed)
     state.load(ckpt)

@@ -27,8 +27,7 @@ from .grid import GridSpec, make_grid
 from .spectral import SHTPlan, plan_sht, sht_inverse
 
 FORMAT_VERSION = "RSL-DS-1"
-STEP = timedelta(hours=6)
-STEP_HOURS = 6
+STEP = timedelta(hours=6)      # the store's time axis: 00, 06, 12 and 18 UTC
 SOLAR_CONSTANT = 1361.0       # W/m^2, constant total solar irradiance
 STD_FLOOR = 1e-6
 
@@ -118,36 +117,35 @@ def parse_date(s: str, key: str = "date") -> datetime:
 
 
 def parse_timestamp(s: str, key: str = "timestamp") -> datetime:
-    """`s` as an ISO timestamp; ConfigError names `key` and `s` otherwise."""
+    """`s` as an ISO timestamp without a UTC offset (the time axis is naive
+    UTC); ConfigError names `key` and `s` otherwise."""
     try:
-        return datetime.fromisoformat(s)
+        t = datetime.fromisoformat(s)
     except ValueError as exc:
         raise ConfigError(f"{key} {s!r} is not an ISO timestamp ({exc})") from exc
+    if t.tzinfo is not None:
+        raise ConfigError(f"{key} {s!r} has a UTC offset; timestamps are UTC without one")
+    return t
 
 
 def range_end(end_date: datetime) -> datetime:
     """Last 6-hourly timestamp of an inclusive date range."""
-    return end_date + timedelta(hours=18)
+    return end_date + timedelta(days=1) - STEP
 
 
 def sample_index(start_date: datetime, end_date: datetime, m_steps: int = 0,
                  data_end: datetime | None = None) -> list[datetime]:
-    """Initial-condition timestamps: 00/06/12/18 UTC for every day in the range.
+    """Initial-condition timestamps: every STEP from the first day's 00 UTC
+    through the last day's range_end.
 
     Samples whose m_steps-step horizon extends past `data_end` are dropped.
     """
     if end_date < start_date:
         raise ConfigError("end date before start date")
-    out = []
-    day = start_date
-    horizon = m_steps * STEP
-    while day <= end_date:
-        for hour in (0, 6, 12, 18):
-            t = day + timedelta(hours=hour)
-            if data_end is None or t + horizon <= data_end:
-                out.append(t)
-        day += timedelta(days=1)
-    return out
+    last = range_end(end_date)
+    if data_end is not None:
+        last = min(last, data_end - m_steps * STEP)
+    return [start_date + i * STEP for i in range((last - start_date) // STEP + 1)]
 
 
 # ---------------------------------------------------------------- solar flux
@@ -166,9 +164,10 @@ def compute_tisr(timestamp: datetime, grid: GridSpec) -> np.ndarray:
     ending at `timestamp`, on the grid. Circular orbit: S0 is constant."""
     lat = np.deg2rad(grid.latitudes)
     lon = np.deg2rad(grid.longitudes)
-    n_sub = int(round(6 * 60 / TISR_SUBSTEP_MINUTES))
-    offs = (np.arange(n_sub) + 0.5) * (6.0 / n_sub)   # hours into the window
-    t0 = timestamp - timedelta(hours=6)
+    n_sub = STEP // timedelta(minutes=TISR_SUBSTEP_MINUTES)
+    step_hours = STEP / timedelta(hours=1)
+    offs = (np.arange(n_sub) + 0.5) * (step_hours / n_sub)   # hours into the window
+    t0 = timestamp - STEP
     base_hours = t0.hour + t0.minute / 60.0 + t0.second / 3600.0
     doy0 = t0.timetuple().tm_yday
     hours = base_hours + offs
@@ -258,7 +257,7 @@ class DatasetStore:
                           "forcings": list(varset.forcings),
                           "evaluation_subset": list(varset.evaluation_subset),
                           "set_name": varset.name},
-            "time": {"start": start.isoformat(), "step_hours": STEP_HOURS,
+            "time": {"start": start.isoformat(), "step_hours": STEP // timedelta(hours=1),
                      "n_steps": n_steps, "calendar": "proleptic_gregorian"},
         }
         if provenance:
@@ -272,12 +271,21 @@ class DatasetStore:
     def end(self) -> datetime:
         return self.start + (self.n_steps - 1) * STEP
 
+    def steps(self, first: datetime, last: datetime, what: str) -> range:
+        """The store steps of the timestamps first..last. ConfigError naming
+        `what`, the span and the store's own span unless both lie on the time
+        axis and `last` is not before `first`."""
+        i0, off0 = divmod(first - self.start, STEP)
+        i1, off1 = divmod(last - self.start, STEP)
+        if off0 or off1 or not 0 <= i0 <= i1 < self.n_steps:
+            raise ConfigError(
+                f"{what} needs {first:%Y-%m-%d %H:%M}..{last:%Y-%m-%d %H:%M}, but the "
+                f"store {self.root} spans {self.start:%Y-%m-%d %H:%M}.."
+                f"{self.end:%Y-%m-%d %H:%M} in steps of {STEP // timedelta(hours=1)} h")
+        return range(i0, i1 + 1)
+
     def time_index(self, t: datetime) -> int:
-        delta = t - self.start
-        steps, rem = divmod(int(delta.total_seconds()), STEP_HOURS * 3600)
-        if rem != 0 or steps < 0 or steps >= self.n_steps:
-            raise ConfigError(f"timestamp {t} outside store time axis")
-        return steps
+        return self.steps(t, t, "timestamp")[0]
 
     @property
     def varset(self) -> VariableSet:
@@ -424,7 +432,7 @@ def _year_chunks(start: datetime, n_steps: int) -> list[tuple[int, int, int]]:
     t = start
     while i < n_steps:
         nxt = datetime(t.year + 1, 1, 1)
-        hop = min(int((nxt - t).total_seconds()) // (STEP_HOURS * 3600), n_steps - i)
+        hop = min((nxt - t) // STEP, n_steps - i)
         out.append((t.year, i, hop))
         i += hop
         t = nxt
@@ -437,10 +445,8 @@ def compute_normalization(store: DatasetStore, start_date: datetime,
                           end_date: datetime) -> NormalizationStats:
     """Unweighted mean/std of every prognostic and forcing variable over all
     grid points of the date range (streaming, float64 accumulators)."""
-    i0 = store.time_index(start_date)
-    i1 = store.time_index(range_end(end_date)) + 1
-    if i1 <= i0:
-        raise ConfigError("empty normalization range")
+    span = store.steps(start_date, range_end(end_date), "normalization")
+    i0, i1 = span.start, span.stop
     values = {}
     for var in store.prognostic + store.forcings:
         s = s2 = 0.0
@@ -496,8 +502,6 @@ def load_batch(store: DatasetStore, stats: NormalizationStats,
     F_seq has m_steps arrays (B, K_f, H, W), C is (K_c, H, W).
     """
     base = np.array([store.time_index(t) for t in timestamps])
-    if np.any(base + m_steps >= store.n_steps):
-        raise ConfigError("batch horizon extends past the store time axis")
     steps = np.arange(m_steps + 1)[:, None] + base          # (M + 1, B)
     x = normalized_fields(store, stats, store.prognostic, steps)
     f = normalized_fields(store, stats, store.forcings, steps[:-1])
@@ -544,7 +548,7 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
 
     start = datetime(cfg.start_year, 1, 1)
     end_excl = datetime(cfg.start_year + cfg.years, 1, 1)
-    n_steps = int((end_excl - start).total_seconds()) // (STEP_HOURS * 3600)
+    n_steps = (end_excl - start) // STEP
 
     store = DatasetStore.create(
         out_dir, grid, cfg.variable_set, start, n_steps,
@@ -600,7 +604,7 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     smask = np.zeros_like(mmask)
     for l in range(1, sb + 1):
         smask[l, : min(l, mb) + 1] = 1.0
-    gamma_slow = float(np.exp(-1.0 / (SLOW_TAU_YEARS * 365.25 * 4)))
+    gamma_slow = float(np.exp(-1.0 / (SLOW_TAU_YEARS * (timedelta(days=365.25) / STEP))))
     inj_slow = np.sqrt(1.0 - gamma_slow * gamma_slow)
     slow_l, slow_m = np.nonzero(smask)
     slow_state = band_noise(rng.standard_normal((2,) + spec_shape), sigma_slow,
@@ -645,8 +649,9 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     slow_hist = np.empty((chunk,) + slow_state.shape, dtype=np.complex128)
     coeffs = np.zeros((chunk,) + spec_shape, dtype=np.complex128)
     fast_phase = phase[fast_m]
-    tisr_table = np.empty((366, 4) + grid.shape, dtype=np.float32)
-    tisr_known = np.zeros((366, 4), dtype=bool)
+    step_hours = STEP // timedelta(hours=1)
+    tisr_table = np.empty((366, 24 // step_hours) + grid.shape, dtype=np.float32)
+    tisr_known = np.zeros(tisr_table.shape[:2], dtype=bool)
     doys = np.empty(chunk, dtype=np.int64)
     names = cfg.variable_set.prognostic
     t = start
@@ -666,7 +671,7 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
                 slow_state = gamma_slow * slow_state + inj_slow * slow_noise[j]
                 doys[j] = t.timetuple().tm_yday
                 t0 = t - STEP
-                window = (t0.timetuple().tm_yday - 1, t0.hour // STEP_HOURS)
+                window = (t0.timetuple().tm_yday - 1, t0.hour // step_hours)
                 if not tisr_known[window]:
                     tisr_table[window] = compute_tisr(t, grid)
                     tisr_known[window] = True

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_path, write_json_atomic
-from .data import DatasetStore, NormalizationStats, VariableSet
+from .data import STEP, DatasetStore, NormalizationStats, VariableSet
 from .errors import ConfigError, ShapeError
 from .grid import AreaWeights, GridSpec, area_weighted_mean
 from .models import ModelState, model_forward
@@ -138,12 +138,11 @@ def _json_num(x: float):
     return "inf" if x > 0 else "-inf"
 
 
-def _reference_stats(store: DatasetStore, variables, t0: datetime,
-                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Temporal mean/std fields (K, H, W) of the reference over the window."""
-    i0 = store.time_index(t0)
-    if i0 + n_steps > store.n_steps:
-        raise ConfigError("reference store does not cover the rollout period")
+def _reference_stats(store: DatasetStore, variables, t0: datetime, n_steps: int,
+                     what: str = "the scored window") -> tuple[np.ndarray, np.ndarray]:
+    """Temporal mean/std fields (K, H, W) of the reference over the window;
+    a refusal names the window as `what`."""
+    i0 = store.steps(t0, t0 + (n_steps - 1) * STEP, what).start
     means, stds = zip(*(store.window_moments(v, i0, n_steps) for v in variables))
     return np.stack(means), np.stack(stds)
 

@@ -112,12 +112,15 @@ def write_difference_maps(sweep_root, run_id: str, reference: DatasetStore,
     meta_path = run_dir / "meta.json"
     if not meta_path.exists():
         return []
-    variables, shape, t0, steps = read_json(meta_path, lambda meta: (
-        meta["variables"], (len(meta["variables"]), meta["grid"]["n_lat"],
-                            meta["grid"]["n_lon"]),
+    variables, grid, t0, steps = read_json(meta_path, lambda meta: (
+        meta["variables"], (meta["grid"]["n_lon"], meta["grid"]["n_lat"]),
         parse_timestamp(meta["start_time"]), meta["steps"]))
-    means = read_array(run_dir / "means.bin", shape, "<f8")
-    ref_mean, _ = _reference_stats(reference, variables, t0, steps)
+    if grid != (reference.grid.n_lon, reference.grid.n_lat):
+        raise ConfigError(f"run {run_id} was rolled out on the {grid[0]}x{grid[1]} grid, but "
+                          f"the reference {reference.root} is on the "
+                          f"{reference.grid.n_lon}x{reference.grid.n_lat} grid")
+    means = read_array(run_dir / "means.bin", (len(variables),) + reference.grid.shape, "<f8")
+    ref_mean, _ = _reference_stats(reference, variables, t0, steps, f"run {run_id}'s rollout")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -17,6 +17,7 @@ import itertools
 import json
 import operator
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,7 +68,9 @@ class TrainConfig:
     replication: bool = False
 
     def __post_init__(self):
-        """ConfigError unless every setting the store does not decide is valid."""
+        """ConfigError unless every setting the store does not decide is valid.
+        The dates and the variable set are kept in their canonical spelling, so
+        that one experiment has one run id."""
         for name, low in (("m_steps", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0),
                           ("early_stop_patience", 1)):
             if getattr(self, name) < low:
@@ -78,6 +81,10 @@ class TrainConfig:
         for w, (start, end) in self.windows.items():
             if end < start:
                 raise ConfigError(f"{w}_end {end:%Y-%m-%d} is before {w}_start {start:%Y-%m-%d}")
+            object.__setattr__(self, f"{w}_start", start.date().isoformat())
+            object.__setattr__(self, f"{w}_end", end.date().isoformat())
+        object.__setattr__(self, "variable_set",
+                           spell_variable_set(parse_variable_set(self.variable_set)))
         if not self.replication:
             return
         for name, allowed in (("m_steps", REPLICATION_M), ("batch_size", (REPLICATION_BATCH,)),
@@ -140,11 +147,8 @@ def check_store(cfg: TrainConfig, store: DatasetStore) -> None:
         need = start + cfg.m_steps * STEP
         if w == "train":
             need = max(need, range_end(end))
-        if start < store.start or need > store.end:
-            raise ConfigError(
-                f"{w}_start..{w}_end {start:%Y-%m-%d}..{end:%Y-%m-%d} at M={cfg.m_steps} "
-                f"needs {start:%Y-%m-%d %H:%M}..{need:%Y-%m-%d %H:%M}, but the store "
-                f"{store.root} spans {store.start:%Y-%m-%d %H:%M}..{store.end:%Y-%m-%d %H:%M}")
+        store.steps(start, need, f"{w}_start..{w}_end {start:%Y-%m-%d}..{end:%Y-%m-%d} "
+                                 f"at M={cfg.m_steps}")
 
 
 def run_id(cfg: TrainConfig) -> str:
@@ -401,8 +405,15 @@ def enumerate_runs(sweep: SweepSpec, model_fields: dict | None = None,
     """Cartesian product of the grid, in deterministic order. Every run's
     model spec takes `model_fields` and its TrainConfig `training`; what
     they leave unset is the dataclass default. A model field that one of the
-    architectures does not read is a ConfigError."""
+    architectures does not read, and an axis that names one value twice (one
+    run twice), are ConfigErrors."""
     model_fields = model_fields or {}
+    spelled = dict(vars(sweep), variable_sets=[
+        spell_variable_set(parse_variable_set(v)) for v in sweep.variable_sets])
+    for axis, values in spelled.items():
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep axis {axis!r} names one value twice in "
+                              f"{getattr(sweep, axis)}, which would train one run twice")
     for arch in sweep.archs:
         unread = unread_fields(arch, model_fields)
         if unread:
@@ -421,17 +432,14 @@ def enumerate_runs(sweep: SweepSpec, model_fields: dict | None = None,
 
 
 def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> tuple[str, str]:
-    cfg = TrainConfig.from_json(cfg_json)
-    store = DatasetStore.open(store_dir)
+    """The run's status and, for "error", the traceback of the exception that
+    ended it. An error writes no record.json, so a resumed sweep retrains the run."""
     try:
-        record = run_training(cfg, store, run_dir)
-        return run_id(cfg), record.status
-    except Exception as exc:  # individual run failures never kill the sweep
-        Path(run_dir).mkdir(parents=True, exist_ok=True)
-        write_json_atomic(Path(run_dir) / "record.json",
-                          {"status": "failed", "seed": cfg.seed,
-                           "diagnostics": {"reason": repr(exc)}})
-        return run_id(cfg), "failed"
+        record = run_training(TrainConfig.from_json(cfg_json), DatasetStore.open(store_dir),
+                              run_dir)
+    except Exception:  # one run's crash never kills the sweep
+        return "error", traceback.format_exc().rstrip()
+    return record.status, ""
 
 
 def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
@@ -453,20 +461,21 @@ def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
             log(f"skip {rid} (completed: {statuses[rid]})")
         else:
             todo.append(cfg)
+
+    def done(rid: str, status: str, trace: str) -> None:
+        statuses[rid] = status
+        log(f"run {rid}: {status}" + (f"\n{trace}" if trace else ""))
+
     if jobs <= 1:
         for cfg in todo:
-            rid, status = _sweep_worker(cfg.to_json(), str(store_dir),
-                                        str(root / run_id(cfg)))
-            statuses[rid] = status
-            log(f"run {rid}: {status}")
+            rid = run_id(cfg)
+            done(rid, *_sweep_worker(cfg.to_json(), str(store_dir), str(root / rid)))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(_sweep_worker, cfg.to_json(), str(store_dir),
-                                str(root / run_id(cfg))): cfg for cfg in todo}
-            for fut in futs:
-                rid, status = fut.result()
-                statuses[rid] = status
-                log(f"run {rid}: {status}")
+            futs = {run_id(cfg): pool.submit(_sweep_worker, cfg.to_json(), str(store_dir),
+                                             str(root / run_id(cfg))) for cfg in todo}
+            for rid, fut in futs.items():
+                done(rid, *fut.result())
     manifest = {"runs": [{"id": run_id(c), "status": statuses[run_id(c)],
                           "config": c.to_json()} for c in configs]}
     write_json_atomic(root / "sweep.json", manifest)

@@ -330,7 +330,8 @@ def test_quick_start_run_id_is_pinned(small_store):
             "--val-start 2008-01-01 --val-end 2008-12-31 --batch-size 32 --epochs 5 "
             "--run-root runs")
     short = "train --data world --arch sfno --layers 2 --dim 32 --m-steps 2"
-    for argv in (full, short):
+    loose = short + " --train-start 2006-1-1 --val-start 2008-1-01 --val-end 2008-12-31"
+    for argv in (full, short, loose):
         cfg = _train_config_from(build_parser().parse_args(argv.split()), {}, small_store)
         assert run_id(cfg) == "c3c1676a4916", argv
 
@@ -509,13 +510,31 @@ def test_refused_rollout_writes_nothing(cli_run, cli_store, tmp_path, capsys):
     other = tmp_path / "ds32x16"
     assert run_cli("gen-data", "--seed", "7", "--years", "2", "--grid", "32x16",
                    "--vars", "custom:3", "--out", str(other)) == 0
+    later = tmp_path / "ds2007"      # the reference's grid, without the training window
+    assert run_cli("gen-data", "--seed", "7", "--years", "1", "--grid", "16x8",
+                   "--vars", "custom:3", "--start-year", "2007", "--out", str(later)) == 0
+    span = f"the store {cli_store} spans 2006-01-01 00:00..2007-12-31 18:00 in steps of 6 h"
     # 856 steps are left in the store from the start
     for flags, named in ((("--steps", "-5"), "--steps"), (("--steps", "0"), "--steps"),
                          (("--years", "0"), "--years"),
-                         (("--steps", "857"), "past the end of the reference"),
+                         (("--steps", "857"), "a rollout of 857 steps from --start "
+                          "2007-06-01T00:00:00 needs 2007-06-01 00:00..2008-01-01 00:00, "
+                          f"but {span}"),
+                         (("--start", "2008-06-01", "--steps", "8"), "a rollout of 8 steps "
+                          "from --start 2008-06-01T00:00:00 needs 2008-06-01 00:00..2008-06-02 "
+                          f"18:00, but {span}"),
+                         (("--start", "2007-06-01T03:00", "--steps", "8"), "a rollout of 8 "
+                          "steps from --start 2007-06-01T03:00:00 needs 2007-06-01 03:00.."
+                          f"2007-06-02 21:00, but {span}"),
+                         (("--years", "8000"), "from --start 2007-06-01T00:00:00 ends after 9999"),
+                         (("--steps", "8", "--data", str(later)), "train_start..train_end "
+                          "2006-01-01..2006-10-31 needs 2006-01-01 00:00..2006-10-31 18:00, "
+                          f"but the store {later} spans 2007-01-01 00:00..2007-12-31 18:00"),
                          (("--start", "2008-02-30", "--steps", "8"), "--start '2008-02-30'"),
+                         (("--start", "2007-06-01T00:00:00+00:00", "--steps", "8"),
+                          "--start '2007-06-01T00:00:00+00:00' has a UTC offset"),
                          (("--steps", "8", "--data", str(other)), "different grids")):
-        assert run_cli(*args, *flags) == 2
+        assert run_cli(*args, *flags) == 2, flags
         assert named in capsys.readouterr().err
         assert files() == before
     assert run_cli(*args, "--steps", "856") == 0
@@ -604,6 +623,19 @@ def test_sweep_axis_key_outside_the_grid_exit2(cli_store, tmp_path, capsys,
     assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
                    "--run-root", str(tmp_path / "root")) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()
+
+
+@pytest.mark.parametrize("axis, values", [("seeds", [597, 597]),
+                                          ("variable_sets", ["custom:3", "custom:03"])])
+def test_sweep_naming_one_run_twice_exit2(cli_store, tmp_path, capsys, axis, values):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, **{axis: values}),
+                               "training": SHORT_TRAINING}))
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(tmp_path / "root")) == 2
+    assert f"sweep axis {axis!r} names one value twice in {values}" \
+        in capsys.readouterr().err
     assert not (tmp_path / "root").exists()
 
 
@@ -711,6 +743,23 @@ def test_report_difference_maps(cli_sweep, cli_store, tmp_path):
     assert len(maps) == 2 * 3      # two runs x three variables
     arr = np.loadtxt(maps[0], delimiter=",")
     assert arr.shape == (8, 16)
+
+
+@pytest.mark.parametrize("grid, year, refusal", [
+    ("32x16", "2006", " was rolled out on the 16x8 grid, but the reference {other} is on "
+                      "the 32x16 grid"),
+    ("16x8", "2008", "'s rollout needs 2007-06-01 00:00..2007-07-10 18:00, but the store "
+                     "{other} spans 2008-01-01 00:00..2008-12-31 18:00 in steps of 6 h")],
+    ids=["another-grid", "another-span"])
+def test_report_reference_that_does_not_hold_a_run_exit2(cli_sweep, tmp_path, capsys,
+                                                         grid, year, refusal):
+    other = tmp_path / "ds"
+    assert run_cli("gen-data", "--seed", "7", "--years", "1", "--grid", grid,
+                   "--start-year", year, "--vars", "custom:3", "--out", str(other)) == 0
+    assert run_cli("report", "--sweep-root", str(cli_sweep), "--out", str(tmp_path / "rep"),
+                   "--reference", str(other)) == 2
+    run = json.loads((cli_sweep / "sweep.json").read_text())["runs"][0]["id"]
+    assert f"run {run}" + refusal.format(other=other) in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- verify

@@ -261,6 +261,18 @@ def test_time_index_roundtrip(small_store):
         small_store.time_index(datetime(2005, 1, 1))
     with pytest.raises(ConfigError):
         small_store.time_index(datetime(2006, 1, 1, 3))
+    end = datetime(2008, 12, 31, 18)
+    assert small_store.steps(datetime(2007, 3, 5, 12), end, "w") == range(1714, 4384)
+    # off the axis, before or past the store, or reversed: one refusal
+    for first, last in ((datetime(2006, 1, 1, 3), end), (datetime(2005, 12, 31), end),
+                        (datetime(2006, 1, 1), end + D.STEP),
+                        (datetime(2007, 1, 2), datetime(2007, 1, 1))):
+        with pytest.raises(ConfigError) as exc:
+            small_store.steps(first, last, "the window w")
+        assert str(exc.value) == (
+            f"the window w needs {first:%Y-%m-%d %H:%M}..{last:%Y-%m-%d %H:%M}, but the "
+            f"store {small_store.root} spans 2006-01-01 00:00..2008-12-31 18:00 in steps "
+            "of 6 h")
 
 
 def test_normalization_against_two_pass_oracle(small_store):

@@ -375,6 +375,30 @@ def test_sweep_run_and_resume(micro_store, tmp_path):
     assert (root / other / "best.ckpt").stat().st_mtime_ns == mtimes[other]
 
 
+def test_parallel_sweep_matches_serial(micro_store, tmp_path):
+    sweep = T.SweepSpec(archs=["sfno", "fcn"], variable_sets=["custom:3"],
+                        m_steps=[1], layers=[1], dims=[8], seeds=[597, 1152])
+    configs = T.enumerate_runs(sweep, **MICRO_TRAINING)
+    manifests = [T.run_sweep(configs, micro_store.root, tmp_path / str(jobs), jobs=jobs)
+                 for jobs in (1, 2)]
+    assert manifests[0] == manifests[1]
+    assert [r["status"] for r in manifests[0]["runs"]] == ["ok"] * 4
+    for r in manifests[0]["runs"]:
+        assert (tmp_path / "1" / r["id"] / "best.ckpt").read_bytes() == \
+            (tmp_path / "2" / r["id"] / "best.ckpt").read_bytes()
+
+
+def test_spellings_of_one_experiment_share_its_run_id():
+    canonical = micro_config()
+    sloppy = T.TrainConfig(model=canonical.model, m_steps=1, seed=597,
+                           variable_set="custom:03", train_start="2006-1-1",
+                           train_end="2006-10-31", val_start="2006-11-1",
+                           val_end="2006-11-30", batch_size=64, epochs=2)
+    assert sloppy == canonical
+    assert T.run_id(sloppy) == T.run_id(canonical)
+    assert (sloppy.variable_set, sloppy.train_start) == ("custom:3", "2006-01-01")
+
+
 def test_failed_artifact_write_leaves_run_incomplete(micro_store, tmp_path, monkeypatch):
     # a write that dies at stats.json must not leave a record.json behind,
     # so a resumed sweep retrains the run instead of skipping it
@@ -395,6 +419,13 @@ def test_failed_artifact_write_leaves_run_incomplete(micro_store, tmp_path, monk
         T.run_training(cfg, micro_store, run_dir)
     assert not (run_dir / "record.json").exists()
     assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
+    # the same fault inside a sweep: the run is an "error", with no record
+    log = []
+    manifest = T.run_sweep([cfg], micro_store.root, root, log=log.append)
+    assert manifest["runs"][0]["status"] == "error"
+    assert log[0].startswith(f"run {T.run_id(cfg)}: error\nTraceback")
+    assert log[0].endswith("OSError: killed while writing stats.json")
+    assert not (run_dir / "record.json").exists()
     monkeypatch.undo()
 
     log = []
