@@ -36,7 +36,7 @@ from .data import (STEP, DatasetStore, NormalizationStats, SyntheticConfig,
 from .errors import ConfigError, check_type
 from .evaluate import climatology_baseline, rollout, stability_score
 from .grid import area_weights, make_grid
-from .models import ModelSpec, build_model
+from .models import ARCHS, ModelSpec, build_model
 from .reports import write_report
 from .train import (SweepSpec, TrainConfig, check_variables, enumerate_runs,
                     run_id, run_sweep, run_training)
@@ -110,10 +110,19 @@ def _settings(doc: dict, section: str, args=None) -> dict:
     return out
 
 
+def _directory(path: Path, flag: str) -> Path:
+    """`path`, unless it or the nearest of its parents that exists is a file,
+    which is a ConfigError naming `flag`: no directory can be made there."""
+    held = next(p for p in (path, *path.parents) if p.exists())
+    if not held.is_dir():
+        raise ConfigError(f"{flag} {path}: {held} is a file, not a directory")
+    return path
+
+
 def _run_root(args) -> Path:
     if getattr(args, "run_root", None):
-        return Path(args.run_root)
-    return Path(os.environ.get("RSL_RUN_ROOT", "runs"))
+        return _directory(Path(args.run_root), "--run-root")
+    return _directory(Path(os.environ.get("RSL_RUN_ROOT", "runs")), "RSL_RUN_ROOT")
 
 
 def _parse_grid(s: str):
@@ -137,7 +146,8 @@ def cmd_gen_data(args) -> int:
     for name, parse in _SPELLED.items():
         if name in fields:
             fields[name] = parse(fields[name])
-    out = Path(args.out or doc.get("dataset", {}).get("out", "dataset"))
+    out = _directory(Path(args.out or doc.get("dataset", {}).get("out", "dataset")),
+                     "--out" if args.out else "config dataset.out")
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out} is not empty (use --force)")
     store = generate_synthetic_climate(SyntheticConfig(**fields), out)
@@ -174,7 +184,8 @@ def cmd_train(args) -> int:
     store = DatasetStore.open(args.data)
     cfg = _train_config_from(args, doc, store)
     rid = run_id(cfg)
-    run_dir = Path(args.run_dir) if args.run_dir else _run_root(args) / rid
+    run_dir = _directory(Path(args.run_dir), "--run-dir") if args.run_dir \
+        else _run_root(args) / rid
     record = run_training(cfg, store, run_dir)
     print(f"run {rid}: {record.status} "
           f"(best val {record.best_val:.6g} at epoch {record.best_epoch})")
@@ -238,7 +249,6 @@ def cmd_rollout(args) -> int:
     base_provider = forcing_provider(reference, stats)
     stats_out = rollout(state, x0, lambda m: base_provider(i0 + m), c, n_steps,
                         stats, weights, reference.prognostic, start_time=start)
-    stats_out.save(run_dir / "rollout")
 
     scores = {}
     clim = {}
@@ -248,6 +258,7 @@ def cmd_rollout(args) -> int:
         clim[mode] = climatology_baseline(train_store, reference, stats, weights,
                                           varset, t_start, t_steps, start,
                                           n_steps, mode=mode).to_json()
+    stats_out.save(run_dir / "rollout")     # after scoring, which may still refuse
     doc = {"run": run_dir.name, "seed": cfg.seed, "finite": stats_out.finite,
            "blowup_step": stats_out.first_nonfinite_step,
            "steps": stats_out.count, "start": start.isoformat(),
@@ -318,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one configuration")
     t.add_argument("--config")
     t.add_argument("--data", required=True)
-    t.add_argument("--arch", choices=["climax", "fcn", "sfno"])
+    t.add_argument("--arch", choices=ARCHS)
     t.add_argument("--layers", type=int)
     t.add_argument("--dim", type=int)
     t.add_argument("--m-steps", type=int, dest="m_steps")

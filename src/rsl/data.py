@@ -28,6 +28,7 @@ from .spectral import SHTPlan, plan_sht, sht_inverse
 
 FORMAT_VERSION = "RSL-DS-1"
 STEP = timedelta(hours=6)      # the store's time axis: 00, 06, 12 and 18 UTC
+CALENDAR = "proleptic_gregorian"
 SOLAR_CONSTANT = 1361.0       # W/m^2, constant total solar irradiance
 STD_FLOOR = 1e-6
 
@@ -226,8 +227,13 @@ class DatasetStore:
             raise ConfigError(
                 f"unsupported dataset format {manifest.get('format_version')!r}")
         self.grid = GridSpec.from_manifest(manifest["grid"])
-        self.start = parse_timestamp(manifest["time"]["start"])
-        self.n_steps = int(manifest["time"]["n_steps"])
+        axis = manifest["time"]
+        for key, only in (("step_hours", STEP // timedelta(hours=1)), ("calendar", CALENDAR)):
+            if axis.get(key) != only:
+                raise ConfigError(f"time.{key} is {axis.get(key)!r}, but this version "
+                                  f"reads only {only!r}")     # read_json names the file
+        self.start = parse_timestamp(axis["start"])
+        self.n_steps = int(axis["n_steps"])
         v = manifest["variables"]
         self.prognostic = tuple(v["prognostic"])
         self.constants = tuple(v["constants"])
@@ -258,7 +264,7 @@ class DatasetStore:
                           "evaluation_subset": list(varset.evaluation_subset),
                           "set_name": varset.name},
             "time": {"start": start.isoformat(), "step_hours": STEP // timedelta(hours=1),
-                     "n_steps": n_steps, "calendar": "proleptic_gregorian"},
+                     "n_steps": n_steps, "calendar": CALENDAR},
         }
         if provenance:
             manifest["generator"] = provenance
@@ -286,6 +292,13 @@ class DatasetStore:
 
     def time_index(self, t: datetime) -> int:
         return self.steps(t, t, "timestamp")[0]
+
+    def non_finite(self, var: str, first: int, last: int) -> ConfigError:
+        """The refusal of steps first..last of `var`, which hold a NaN or an
+        infinity."""
+        t0, t1 = (self.start + int(i) * STEP for i in (first, last))
+        return ConfigError(f"the store {self.root} holds non-finite values of {var} "
+                           f"in {t0:%Y-%m-%d %H:%M}..{t1:%Y-%m-%d %H:%M}")
 
     @property
     def varset(self) -> VariableSet:
@@ -367,7 +380,8 @@ class DatasetStore:
         """Per-gridpoint float64 temporal mean and population std of `var`
         over steps [i0, i0 + n), streamed in 4096-step chunks.
 
-        Each window is reduced once per store; the caller gets its own copies."""
+        Each window is reduced once per store; the caller gets its own copies.
+        A window that holds a NaN or an infinity is a ConfigError."""
         if n < 1:
             raise ConfigError(f"{var}: empty window of {n} steps at step {i0}")
         memo = self._moments.setdefault(var, {})
@@ -378,6 +392,8 @@ class DatasetStore:
                 chunk = self.read_range(var, c0, min(c0 + 4096, i0 + n)).astype(np.float64)
                 s += chunk.sum(axis=0)
                 s2 += (chunk * chunk).sum(axis=0)
+            if not np.isfinite(s2).all():   # a NaN or inf; finite float32 squares stay finite
+                raise self.non_finite(var, i0, i0 + n - 1)
             mu = s / n
             memo[i0, n] = (mu, np.sqrt(np.maximum(s2 / n - mu * mu, 0.0)))
         mu, sd = memo[i0, n]
@@ -444,7 +460,8 @@ def _year_chunks(start: datetime, n_steps: int) -> list[tuple[int, int, int]]:
 def compute_normalization(store: DatasetStore, start_date: datetime,
                           end_date: datetime) -> NormalizationStats:
     """Unweighted mean/std of every prognostic and forcing variable over all
-    grid points of the date range (streaming, float64 accumulators)."""
+    grid points of the date range (streaming, float64 accumulators). A
+    variable that holds a NaN or an infinity in the range is a ConfigError."""
     span = store.steps(start_date, range_end(end_date), "normalization")
     i0, i1 = span.start, span.stop
     values = {}
@@ -456,6 +473,8 @@ def compute_normalization(store: DatasetStore, start_date: datetime,
             s += chunk.sum()
             s2 += (chunk * chunk).sum()
             n += chunk.size
+        if not math.isfinite(s2):     # a NaN or inf; finite float32 squares stay finite
+            raise store.non_finite(var, i0, i1 - 1)
         mean = s / n
         var_ = max(s2 / n - mean * mean, 0.0)
         std = np.sqrt(var_)
@@ -468,11 +487,15 @@ def compute_normalization(store: DatasetStore, start_date: datetime,
 
 
 def normalized_constants(store: DatasetStore) -> np.ndarray:
-    """Constants scaled once: lat/lon to [-1, 1], others by their own mean/std."""
+    """Constants scaled once: lat/lon to [-1, 1], others by their own mean/std.
+    A constant that holds a NaN or an infinity is a ConfigError."""
     fields = store.read_constants().astype(np.float64)
     out = np.empty_like(fields, dtype=np.float32)
     for i, name in enumerate(store.constants):
         f = fields[i]
+        if not np.isfinite(f).all():
+            raise ConfigError(f"the store {store.root} holds non-finite values of the "
+                              f"constant {name} in constants.bin")
         if name == "lat":
             out[i] = f / 90.0
         elif name == "lon":
@@ -486,11 +509,14 @@ def normalized_constants(store: DatasetStore) -> np.ndarray:
 def normalized_fields(store: DatasetStore, stats: NormalizationStats,
                       variables, steps) -> np.ndarray:
     """Normalized float32 fields of `variables` at store steps `steps`, shape
-    steps.shape + (K, H, W), from one `read_steps` call per variable."""
+    steps.shape + (K, H, W), from one `read_steps` call per variable. Fields
+    that hold a NaN or an infinity are a ConfigError."""
     steps = np.asarray(steps)
     out = np.empty(steps.shape + (len(variables),) + store.grid.shape, np.float32)
     for k, v in enumerate(variables):
         out[..., k, :, :] = stats.normalize(v, store.read_steps(v, steps))
+        if not np.isfinite(out[..., k, :, :]).all():
+            raise store.non_finite(v, steps.min(), steps.max())
     return out
 
 

@@ -142,76 +142,45 @@ class ModelState:
 def _param_shapes(spec: ModelSpec, grid: GridSpec, plan: SHTPlan | None):
     """Yield (name, shape, init) with init in {normal, zeros, ones}."""
     kin, kp, d = spec.n_inputs, spec.n_prognostic, spec.hidden_dim
-    hh, ww = grid.shape
     ph, pw = spec.patch_size
     hid = int(spec.mlp_ratio * d)
-    if spec.arch == "sfno":
-        yield "enc.w", (kin, d), "normal"
-        yield "enc.b", (d,), "zeros"
-        for i in range(spec.n_layers):
-            yield f"blk{i}.mix.wr", (plan.lmax + 1, d, d), "normal"
-            yield f"blk{i}.mix.wi", (plan.lmax + 1, d, d), "normal"
-            if spec.use_mlp:
-                yield f"blk{i}.ln.g", (d,), "ones"
-                yield f"blk{i}.ln.b", (d,), "zeros"
-                yield f"blk{i}.mlp.w1", (d, hid), "normal"
-                yield f"blk{i}.mlp.b1", (hid,), "zeros"
-                yield f"blk{i}.mlp.w2", (hid, d), "normal"
-                yield f"blk{i}.mlp.b2", (d,), "zeros"
-        yield "dec.w", (d, kp), "zeros"
-        yield "dec.b", (kp,), "zeros"
-    elif spec.arch == "fcn":
-        bs = d // spec.n_blocks
-        yield "enc.w", (kin, d), "normal"
-        yield "enc.b", (d,), "zeros"
-        if spec.use_pos_embed:
-            yield "pos", (hh, ww, d), "normal"
-        for i in range(spec.n_layers):
-            yield f"blk{i}.ln1.g", (d,), "ones"
-            yield f"blk{i}.ln1.b", (d,), "zeros"
-            for name in ("w1r", "w1i", "w2r", "w2i"):
-                yield f"blk{i}.spec.{name}", (spec.n_blocks, bs, bs), "normal"
-            yield f"blk{i}.ln2.g", (d,), "ones"
-            yield f"blk{i}.ln2.b", (d,), "zeros"
-            yield f"blk{i}.mlp.w1", (d, hid), "normal"
-            yield f"blk{i}.mlp.b1", (hid,), "zeros"
-            yield f"blk{i}.mlp.w2", (hid, d), "normal"
-            yield f"blk{i}.mlp.b2", (d,), "zeros"
-        yield "dec.w", (d, kp), "zeros"
-        yield "dec.b", (kp,), "zeros"
-    elif spec.arch == "climax":
-        nt = (hh // ph) * (ww // pw)
-        pp = ph * pw
-        yield "pe.w", (kin, pp, d), "normal"
+    if spec.arch == "climax":
+        nt = (grid.n_lat // ph) * (grid.n_lon // pw)
+        yield "pe.w", (kin, ph * pw, d), "normal"
         yield "pe.b", (kin, d), "zeros"
         yield "ve", (kin, d), "normal"
         yield "agg.q", (nt, d), "normal"
         yield "agg.k", (d, d), "normal"
         yield "agg.v", (d, d), "normal"
-        if spec.use_pos_embed:
-            yield "pos", (nt, d), "normal"
-        for i in range(spec.n_layers):
-            yield f"blk{i}.ln1.g", (d,), "ones"
-            yield f"blk{i}.ln1.b", (d,), "zeros"
+        tokens = (nt,)
+    else:
+        yield from _pointwise_params("enc", kin, d, "normal")
+        tokens = grid.shape
+    if spec.use_pos_embed:                                 # never set for sfno
+        yield "pos", tokens + (d,), "normal"
+    for i in range(spec.n_layers):
+        if spec.arch == "sfno":
+            yield f"blk{i}.mix.wr", (plan.lmax + 1, d, d), "normal"
+            yield f"blk{i}.mix.wi", (plan.lmax + 1, d, d), "normal"
+            if spec.use_mlp:
+                yield from _ln_params(f"blk{i}.ln", d)
+                yield from _mlp_params(f"blk{i}.mlp", d, hid, d)
+            continue
+        yield from _ln_params(f"blk{i}.ln1", d)
+        if spec.arch == "fcn":
+            bs = d // spec.n_blocks
+            for name in ("w1r", "w1i", "w2r", "w2i"):
+                yield f"blk{i}.spec.{name}", (spec.n_blocks, bs, bs), "normal"
+        else:
             for name in ("q", "k", "v", "o"):
                 yield f"blk{i}.attn.w{name}", (d, d), "normal"
                 yield f"blk{i}.attn.b{name}", (d,), "zeros"
-            yield f"blk{i}.ln2.g", (d,), "ones"
-            yield f"blk{i}.ln2.b", (d,), "zeros"
-            yield f"blk{i}.mlp.w1", (d, hid), "normal"
-            yield f"blk{i}.mlp.b1", (hid,), "zeros"
-            yield f"blk{i}.mlp.w2", (hid, d), "normal"
-            yield f"blk{i}.mlp.b2", (d,), "zeros"
-        yield "dec.w1", (d, d), "normal"
-        yield "dec.b1", (d,), "zeros"
-        yield "dec.w2", (d, pp * kp), "zeros"
-        yield "dec.b2", (pp * kp,), "zeros"
-
-
-def parameter_count(spec: ModelSpec, grid: GridSpec) -> int:
-    """Pure function of (spec, grid); asserted against built models by tests."""
-    plan = plan_sht(grid, spec.hard_threshold_fraction) if spec.arch == "sfno" else None
-    return sum(int(np.prod(shape)) for _, shape, _ in _param_shapes(spec, grid, plan))
+        yield from _ln_params(f"blk{i}.ln2", d)
+        yield from _mlp_params(f"blk{i}.mlp", d, hid, d)
+    if spec.arch == "climax":
+        yield from _mlp_params("dec", d, d, ph * pw * kp, w2_init="zeros")
+    else:
+        yield from _pointwise_params("dec", d, kp, "zeros")
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
@@ -243,9 +212,21 @@ def build_model(spec: ModelSpec, grid: GridSpec, seed: int,
 
 # ------------------------------------------------------------------- helpers
 
+def _mlp_params(prefix: str, d_in: int, hid: int, d_out: int, w2_init: str = "normal"):
+    yield f"{prefix}.w1", (d_in, hid), "normal"
+    yield f"{prefix}.b1", (hid,), "zeros"
+    yield f"{prefix}.w2", (hid, d_out), w2_init
+    yield f"{prefix}.b2", (d_out,), "zeros"
+
+
 def _mlp(x: ad.Tensor, params: dict, prefix: str) -> ad.Tensor:
     h = ad.gelu(ad.add(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
     return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+
+
+def _ln_params(prefix: str, d: int):
+    yield f"{prefix}.g", (d,), "ones"
+    yield f"{prefix}.b", (d,), "zeros"
 
 
 def _ln(x: ad.Tensor, params: dict, prefix: str) -> ad.Tensor:
@@ -285,6 +266,11 @@ def sfno_block(x: ad.Tensor, params: dict, prefix: str, spec: ModelSpec,
     if spec.use_mlp:
         x = ad.add(x, _mlp(_ln(x, params, f"{prefix}.ln"), params, f"{prefix}.mlp"))
     return x
+
+
+def _pointwise_params(prefix: str, d_in: int, d_out: int, w_init: str):
+    yield f"{prefix}.w", (d_in, d_out), w_init
+    yield f"{prefix}.b", (d_out,), "zeros"
 
 
 def _pointwise_encode(inp: ad.Tensor, params: dict) -> ad.Tensor:

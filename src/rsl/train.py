@@ -29,7 +29,7 @@ from .atomic import atomic_path, read_json, write_json_atomic
 from .data import (STEP, DatasetStore, NormalizationStats, compute_normalization,
                    load_batch, parse_date, parse_variable_set, range_end,
                    sample_index, spell_variable_set)
-from .errors import ConfigError, NonFiniteError, dataclass_kwargs
+from .errors import ConfigError, dataclass_kwargs
 from .grid import AreaWeights, area_weighted_mean, area_weights
 from .models import (ModelSpec, ModelState, build_model, model_forward_t,
                      model_spec, unread_fields)
@@ -231,14 +231,13 @@ def cosine_lr(epoch: int, epochs_total: int, lr_init: float) -> float:
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float = REPLICATION_CLIP
                    ) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm. A
+    non-finite norm comes back with the gradients unscaled."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.asarray(g, np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if not np.isfinite(norm):
-        raise NonFiniteError("non-finite gradient norm")
-    if norm <= max_norm or norm == 0.0:
+    if norm <= max_norm or norm == 0.0 or not np.isfinite(norm):
         return grads, norm
     s = max_norm / norm
     return {k: g * np.asarray(g).dtype.type(s) for k, g in grads.items()}, norm
@@ -321,9 +320,8 @@ def train(cfg: TrainConfig, store: DatasetStore,
             else:
                 ad.backward(loss)
                 grads = {k: p.grad for k, p in state.params.items() if p.grad is not None}
-                try:
-                    grads, _ = clip_grad_norm(grads, cfg.grad_clip_norm)
-                except NonFiniteError:
+                grads, norm = clip_grad_norm(grads, cfg.grad_clip_norm)
+                if not np.isfinite(norm):
                     reason = "non-finite gradient norm"
             if reason is not None:
                 record.status = "failed"

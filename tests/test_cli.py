@@ -209,6 +209,69 @@ def test_train_on_truncated_year_file_exit2(cli_store, tmp_path, capsys):
     assert str(year) in err and "truncated" in err
 
 
+def test_path_flag_naming_a_file_exit2(cli_store, tmp_path, capsys, monkeypatch):
+    from rsl import cli
+    monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained"))
+    afile = tmp_path / "a_file"
+    afile.write_text("kept")
+    train = ("train", "--data", str(cli_store), "--arch", "sfno", "--layers", "1",
+             "--dim", "8", "--vars", "custom:3", "--train-start", "2006-01-01",
+             "--train-end", "2006-01-31", "--val-start", "2006-02-01",
+             "--val-end", "2006-02-28", "--epochs", "1")
+    for argv, flag in ((("gen-data", "--years", "1", "--out", str(afile)), "--out"),
+                       (("gen-data", "--years", "1", "--out", str(afile / "ds")), "--out"),
+                       (train + ("--run-dir", str(afile)), "--run-dir"),
+                       (train + ("--run-root", str(afile)), "--run-root")):
+        assert run_cli(*argv) == 2, argv
+        assert f"{flag} {afile}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+    assert afile.read_text() == "kept"
+
+
+def test_non_finite_store_values_exit2(cli_run, cli_store, tmp_path, capsys):
+    """A NaN in the store refuses the rollout or training that reads it,
+    naming the store, the variable and the window, and writes nothing."""
+    store = tmp_path / "nan_ds"
+    shutil.copytree(cli_store, store)
+    run = tmp_path / "nan_run"
+    shutil.copytree(cli_run, run)
+    args = ("rollout", "--run", str(run), "--reference", str(store),
+            "--start", "2007-01-01T00:00:00", "--steps", "40")
+    assert run_cli(*args) == 0
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+
+    def poison(var, year, step):
+        path = store / var / f"{year}.bin"
+        good = path.read_bytes()
+        a = np.frombuffer(good, "<f4").copy()
+        a[step * 16 * 8 + 5] = np.nan
+        a.tofile(path)
+        return lambda: path.write_bytes(good)
+
+    before = files()
+    v00 = DatasetStore.open(store).prognostic[0]
+    # the forcing of rollout step 10, then the scored window of a finite rollout
+    for var, step, window in (("tisr", 10, "2007-01-03 12:00..2007-01-03 12:00"),
+                              (v00, 20, "2007-01-01 00:00..2007-01-10 18:00")):
+        mend = poison(var, 2007, step)
+        assert run_cli(*args) == 2, var
+        assert (f"the store {store} holds non-finite values of {var} in {window}"
+                in capsys.readouterr().err)
+        assert files() == before
+        mend()
+    poison(v00, 2006, 100)
+    assert run_cli("train", "--data", str(store), "--arch", "sfno", "--layers", "1",
+                   "--dim", "8", "--vars", "custom:3", "--train-start", "2006-01-01",
+                   "--train-end", "2006-10-31", "--val-start", "2006-11-01",
+                   "--val-end", "2006-11-30", "--epochs", "1",
+                   "--run-dir", str(tmp_path / "r")) == 2
+    assert (f"non-finite values of {v00} in 2006-01-01 00:00..2006-10-31 18:00"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"training": {"bogus_key": 1}}))
@@ -768,3 +831,4 @@ def test_verify_command_passes(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    assert "14/14 checks passed" in out

@@ -254,6 +254,54 @@ def test_manifest_format(small_store):
     assert m["grid"]["kind"] == "equiangular-cell-center"
 
 
+def test_manifest_of_another_time_axis_refused(small_store, tmp_path):
+    import json
+    root = tmp_path / "axis"
+    root.mkdir()
+    for key, value in (("step_hours", 3), ("calendar", "noleap")):
+        doc = dict(small_store.manifest, time=dict(small_store.manifest["time"], **{key: value}))
+        (root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"axis/manifest.json: time.{key} is {value!r}"):
+            D.DatasetStore.open(root)
+
+
+def test_non_finite_values_refused_where_read(tmp_path):
+    """Every reader of the store names the store, the variable and the
+    window that holds a NaN or an infinity: model inputs, reference windows,
+    normalization and the constants."""
+    import re
+    grid = make_grid(8, 4)
+    vs = D.variable_set("custom", 1)
+    v = vs.prognostic[0]
+    store = D.DatasetStore.create(tmp_path / "s", grid, vs, datetime(2006, 1, 1), 8)
+    arr = np.arange(8 * 32, dtype=np.float32).reshape((8,) + grid.shape)
+    store.write_year("tisr", 2006, arr)
+    store.write_constants({name: np.ones(grid.shape) for name in vs.constants})
+    stats = D.NormalizationStats({v: (0.0, 1.0), "tisr": (0.0, 1.0)})
+
+    def refused(window):
+        return pytest.raises(ConfigError, match=re.escape(
+            f"the store {store.root} holds non-finite values of {v} in {window}"))
+
+    for bad in (np.nan, np.inf, -np.inf):
+        arr[5, 2, 3] = bad
+        store.write_year(v, 2006, arr)
+        with refused("2006-01-01 06:00..2006-01-02 06:00"):
+            D.normalized_fields(store, stats, [v], [[1, 5], [3, 4]])
+        with refused("2006-01-01 12:00..2006-01-02 18:00"):
+            store.window_moments(v, 2, 6)
+        with refused("2006-01-01 00:00..2006-01-02 18:00"):
+            D.compute_normalization(store, datetime(2006, 1, 1), datetime(2006, 1, 2))
+        D.normalized_fields(store, stats, [v], [0, 4])      # windows without it read
+        store.window_moments(v, 0, 5)
+        D.normalized_constants(store)
+    lsm = np.ones(grid.shape)
+    lsm[1, 1] = np.nan
+    store.write_constants(dict({name: np.ones(grid.shape) for name in vs.constants}, lsm=lsm))
+    with pytest.raises(ConfigError, match="non-finite values of the constant lsm in constants.bin"):
+        D.normalized_constants(store)
+
+
 def test_time_index_roundtrip(small_store):
     # 428 days of 4 steps from 2006-01-01, then two more to 12:00
     assert small_store.time_index(datetime(2007, 3, 5, 12)) == 1714

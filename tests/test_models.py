@@ -6,10 +6,9 @@ import pytest
 from rsl import autodiff as ad
 from rsl import train as T
 from rsl.errors import ConfigError, NonFiniteError
-from rsl.grid import make_grid
+from rsl.grid import area_weights, make_grid
 from rsl.models import (ModelSpec, afno_block, build_model, climax_encode,
-                        model_forward, model_forward_t, model_spec,
-                        parameter_count, sfno_block)
+                        model_forward, model_forward_t, model_spec, sfno_block)
 
 GRID = make_grid(8, 4)
 KP, KF, KC = 2, 1, 2
@@ -43,14 +42,7 @@ def test_fresh_model_is_persistence(arch):
     assert np.all(out == 0.0)
 
 
-@pytest.mark.parametrize("arch", ["sfno", "fcn", "climax"])
-def test_parameter_count_formula(arch):
-    spec = toy_spec(arch)
-    st = build_model(spec, GRID, seed=0)
-    assert st.n_parameters == parameter_count(spec, GRID)
-
-
-def test_parameter_count_closed_form_sfno():
+def test_n_parameters_closed_form_sfno():
     # documented formula: enc + L*(2*(lmax+1)*D^2 + 2D + 2*D*hid + hid + D) + dec
     spec = toy_spec("sfno")
     d, L = spec.hidden_dim, spec.n_layers
@@ -61,10 +53,10 @@ def test_parameter_count_closed_form_sfno():
               + L * (2 * (lmax + 1) * d * d + 2 * d
                      + d * hid + hid + hid * d + d)
               + d * kp + kp)
-    assert parameter_count(spec, GRID) == expect
+    assert build_model(spec, GRID, seed=0).n_parameters == expect
 
 
-def test_parameter_count_closed_form_fcn():
+def test_n_parameters_closed_form_fcn():
     spec = toy_spec("fcn")
     d, L, nb = spec.hidden_dim, spec.n_layers, spec.n_blocks
     kin, kp = spec.n_inputs, spec.n_prognostic
@@ -74,10 +66,10 @@ def test_parameter_count_closed_form_fcn():
               + L * (2 * d + 4 * nb * bs * bs + 2 * d
                      + d * hid + hid + hid * d + d)
               + d * kp + kp)
-    assert parameter_count(spec, GRID) == expect
+    assert build_model(spec, GRID, seed=0).n_parameters == expect
 
 
-def test_parameter_count_closed_form_climax():
+def test_n_parameters_closed_form_climax():
     spec = toy_spec("climax")
     d, L = spec.hidden_dim, spec.n_layers
     kin, kp = spec.n_inputs, spec.n_prognostic
@@ -91,7 +83,26 @@ def test_parameter_count_closed_form_climax():
               + L * (2 * d + 4 * (d * d + d) + 2 * d
                      + d * hid + hid + hid * d + d)
               + d * d + d + d * pp * kp + pp * kp)      # decoder
-    assert parameter_count(spec, GRID) == expect
+    assert build_model(spec, GRID, seed=0).n_parameters == expect
+
+
+@pytest.mark.parametrize("arch, fields", [
+    ("sfno", {"use_mlp": True}), ("sfno", {"use_mlp": False}),
+    ("fcn", {"use_pos_embed": True}), ("fcn", {"use_pos_embed": False}),
+    ("climax", {"use_pos_embed": True}), ("climax", {"use_pos_embed": False})])
+def test_every_declared_parameter_is_read(arch, fields):
+    """One backward of the training loss reaches every parameter build_model
+    declares, so a declaration that no forward pass reads fails here."""
+    rng = np.random.default_rng(11)
+    st = build_model(toy_spec(arch, **fields), GRID, seed=0)
+    for p in st.params.values():       # non-zero heads, so every gradient moves
+        p.data = (rng.standard_normal(p.shape) * 0.1).astype(np.float32)
+    x0, x1 = (rng.standard_normal((2, KP, 4, 8)).astype(np.float32) for _ in range(2))
+    f = rng.standard_normal((2, KF, 4, 8)).astype(np.float32)
+    c = rng.standard_normal((KC, 4, 8)).astype(np.float32)
+    ad.backward(T.multi_step_loss(st, [x0, x1], [f], c, area_weights(GRID)))
+    unread = [k for k, p in st.params.items() if p.grad is None or not p.grad.any()]
+    assert not unread
 
 
 def test_same_seed_bit_identical(tmp_path):

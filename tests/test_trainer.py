@@ -203,8 +203,10 @@ def test_clip_norm_property(seed, scale):
 
 
 def test_clip_rejects_nonfinite():
-    with pytest.raises(FloatingPointError):
-        T.clip_grad_norm({"a": np.array([np.nan])}, 0.001)
+    grads = {"a": np.array([np.nan])}
+    clipped, norm = T.clip_grad_norm(grads, 0.001)
+    assert not np.isfinite(norm)
+    assert clipped["a"] is grads["a"]
 
 
 # ------------------------------------------------------------------ config
@@ -338,6 +340,26 @@ def test_exploding_run_marked_failed(micro_store, tmp_path):
     assert record.diagnostics["reason"].startswith("non-finite")
     assert record.diagnostics["seed"] == cfg.seed
     assert (tmp_path / "boom" / "record.json").exists()
+
+
+def test_non_finite_gradient_marks_run_failed(micro_store, monkeypatch):
+    built, real_build, real_backward = [], T.build_model, ad.backward
+
+    def build(*args, **kw):
+        built.append(real_build(*args, **kw))
+        return built[-1]
+
+    def backward_then_poison(loss):
+        real_backward(loss)
+        built[0].params["enc.w"].grad[0, 0] = np.nan     # the loss itself stays finite
+
+    monkeypatch.setattr(T, "build_model", build)
+    monkeypatch.setattr(ad, "backward", backward_then_poison)
+    _, record, _ = T.train(micro_config(epochs=3), micro_store)
+    assert record.status == "failed" and record.stopped_epoch == 1 and not record.epochs
+    assert record.diagnostics == {"reason": "non-finite gradient norm",
+                                  "run_id": T.run_id(micro_config(epochs=3)),
+                                  "epoch": 1, "batch": 0, "seed": 597}
 
 
 # ------------------------------------------------------------------ sweeps
