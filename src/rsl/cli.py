@@ -119,10 +119,12 @@ def _directory(path: Path, flag: str) -> Path:
     return path
 
 
-def _run_root(args) -> Path:
+def _run_root(args, *parts: str) -> Path:
+    """The run-artefact root joined with `parts`, checked by _directory
+    against the flag or variable that named the root."""
     if getattr(args, "run_root", None):
-        return _directory(Path(args.run_root), "--run-root")
-    return _directory(Path(os.environ.get("RSL_RUN_ROOT", "runs")), "RSL_RUN_ROOT")
+        return _directory(Path(args.run_root, *parts), "--run-root")
+    return _directory(Path(os.environ.get("RSL_RUN_ROOT", "runs"), *parts), "RSL_RUN_ROOT")
 
 
 def _parse_grid(s: str):
@@ -185,7 +187,7 @@ def cmd_train(args) -> int:
     cfg = _train_config_from(args, doc, store)
     rid = run_id(cfg)
     run_dir = _directory(Path(args.run_dir), "--run-dir") if args.run_dir \
-        else _run_root(args) / rid
+        else _run_root(args, rid)
     record = run_training(cfg, store, run_dir)
     print(f"run {rid}: {record.status} "
           f"(best val {record.best_val:.6g} at epoch {record.best_epoch})")
@@ -240,25 +242,25 @@ def cmd_rollout(args) -> int:
     t_steps = len(train_store.steps(t_start, range_end(t_end), f"train_start..train_end "
                                     f"{t_start:%Y-%m-%d}..{t_end:%Y-%m-%d}"))
 
-    state = build_model(cfg.model, reference.grid, cfg.seed)
-    state.load(ckpt)
     weights = area_weights(reference.grid)
     varset = reference.varset
+    # The climatology reads and checks the training and the scored windows
+    # before the first step; stability_score then finds them memoised.
+    clim = {mode: climatology_baseline(train_store, reference, stats, weights, varset,
+                                       t_start, t_steps, start, n_steps, mode=mode).to_json()
+            for mode in ("mean", "std")}
+    state = build_model(cfg.model, reference.grid, cfg.seed)
+    state.load(ckpt)
     x0 = normalized_fields(reference, stats, reference.prognostic, [i0])[0]
     c = normalized_constants(reference)
     base_provider = forcing_provider(reference, stats)
     stats_out = rollout(state, x0, lambda m: base_provider(i0 + m), c, n_steps,
                         stats, weights, reference.prognostic, start_time=start)
 
-    scores = {}
-    clim = {}
-    for mode in ("mean", "std"):
-        scores[mode] = stability_score(stats_out, reference, stats, weights,
-                                       varset, start, n_steps, mode=mode).to_json()
-        clim[mode] = climatology_baseline(train_store, reference, stats, weights,
-                                          varset, t_start, t_steps, start,
-                                          n_steps, mode=mode).to_json()
-    stats_out.save(run_dir / "rollout")     # after scoring, which may still refuse
+    scores = {mode: stability_score(stats_out, reference, stats, weights, varset,
+                                    start, n_steps, mode=mode).to_json()
+              for mode in ("mean", "std")}
+    stats_out.save(run_dir / "rollout")
     doc = {"run": run_dir.name, "seed": cfg.seed, "finite": stats_out.finite,
            "blowup_step": stats_out.first_nonfinite_step,
            "steps": stats_out.count, "start": start.isoformat(),
@@ -299,7 +301,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     reference = DatasetStore.open(args.reference) if args.reference else None
-    out = Path(args.out) if args.out else Path(args.sweep_root) / "report"
+    out = _directory(Path(args.out), "--out") if args.out \
+        else _directory(Path(args.sweep_root, "report"), "the default --out")
     info = write_report(args.sweep_root, out, reference=reference, svg=args.svg)
     print(f"report: {info['configs']} configurations, "
           f"{info['timeseries']} timeseries, {info['maps']} maps -> {out}")

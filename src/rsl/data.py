@@ -376,9 +376,22 @@ class DatasetStore:
                     pos += b - a
         return out
 
+    def window_sums(self, var: str, i0: int, i1: int, axis: int | None):
+        """Float64 sums of `var` and of its squares over steps [i0, i1),
+        streamed in 4096-step chunks and reduced over `axis` (None: all values,
+        0: time). A window that holds a NaN or an infinity is a ConfigError."""
+        s = s2 = 0.0
+        for c0 in range(i0, i1, 4096):
+            chunk = self.read_range(var, c0, min(c0 + 4096, i1)).astype(np.float64)
+            s += chunk.sum(axis=axis)
+            s2 += (chunk * chunk).sum(axis=axis)
+        if not np.isfinite(s2).all():   # a NaN or inf; finite float32 squares stay finite
+            raise self.non_finite(var, i0, i1 - 1)
+        return s, s2
+
     def window_moments(self, var: str, i0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-gridpoint float64 temporal mean and population std of `var`
-        over steps [i0, i0 + n), streamed in 4096-step chunks.
+        over steps [i0, i0 + n) (see window_sums).
 
         Each window is reduced once per store; the caller gets its own copies.
         A window that holds a NaN or an infinity is a ConfigError."""
@@ -386,14 +399,7 @@ class DatasetStore:
             raise ConfigError(f"{var}: empty window of {n} steps at step {i0}")
         memo = self._moments.setdefault(var, {})
         if (i0, n) not in memo:
-            s = np.zeros(self.grid.shape)
-            s2 = np.zeros(self.grid.shape)
-            for c0 in range(i0, i0 + n, 4096):
-                chunk = self.read_range(var, c0, min(c0 + 4096, i0 + n)).astype(np.float64)
-                s += chunk.sum(axis=0)
-                s2 += (chunk * chunk).sum(axis=0)
-            if not np.isfinite(s2).all():   # a NaN or inf; finite float32 squares stay finite
-                raise self.non_finite(var, i0, i0 + n - 1)
+            s, s2 = self.window_sums(var, i0, i0 + n, axis=0)
             mu = s / n
             memo[i0, n] = (mu, np.sqrt(np.maximum(s2 / n - mu * mu, 0.0)))
         mu, sd = memo[i0, n]
@@ -465,16 +471,9 @@ def compute_normalization(store: DatasetStore, start_date: datetime,
     span = store.steps(start_date, range_end(end_date), "normalization")
     i0, i1 = span.start, span.stop
     values = {}
+    n = (i1 - i0) * math.prod(store.grid.shape)
     for var in store.prognostic + store.forcings:
-        s = s2 = 0.0
-        n = 0
-        for c0 in range(i0, i1, 4096):
-            chunk = store.read_range(var, c0, min(c0 + 4096, i1)).astype(np.float64)
-            s += chunk.sum()
-            s2 += (chunk * chunk).sum()
-            n += chunk.size
-        if not math.isfinite(s2):     # a NaN or inf; finite float32 squares stay finite
-            raise store.non_finite(var, i0, i1 - 1)
+        s, s2 = store.window_sums(var, i0, i1, axis=None)
         mean = s / n
         var_ = max(s2 / n - mean * mean, 0.0)
         std = np.sqrt(var_)

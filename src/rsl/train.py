@@ -283,7 +283,7 @@ def train(cfg: TrainConfig, store: DatasetStore,
     val_ts = sample_index(v_start, v_end, cfg.m_steps, store.end)
 
     record = TrainRecord(status="ok", seed=cfg.seed, val_m_steps=cfg.m_steps)
-    best_params: dict[str, np.ndarray] | None = None
+    best_params: dict[str, np.ndarray] = {}     # the best epoch's weights
     opt = AdamState()
 
     def validation() -> tuple[float, float, float]:
@@ -325,40 +325,33 @@ def train(cfg: TrainConfig, store: DatasetStore,
                     reason = "non-finite gradient norm"
             if reason is not None:
                 record.status = "failed"
-                record.stopped_epoch = epoch
                 record.diagnostics = {"reason": reason, "run_id": run_id(cfg),
                                       "epoch": epoch, "batch": b_idx, "seed": cfg.seed}
                 log(f"FAILED at epoch {epoch} batch {b_idx}: {reason} (loss={lval})")
-                if best_params is not None:
-                    _assign(state, best_params)
-                return state, record, stats
+                break
             adam_step(state.params, grads, opt, lr)
             epoch_loss += lval * len(ts)
             n_seen += len(ts)
+        record.stopped_epoch = epoch
+        if record.status == "failed":
+            break
         val_loss, val_pers, val_rmse1 = validation()
         record.persistence_val = val_pers
         record.epochs.append({"epoch": epoch, "train_loss": epoch_loss / n_seen,
                               "val_loss": val_loss, "lr": lr})
-        if val_loss < record.best_val:
-            record.val_rmse_1step = val_rmse1
         log(f"epoch {epoch}: train={epoch_loss / n_seen:.6g} val={val_loss:.6g} "
             f"lr={lr:.3g} ({time.time() - t0:.1f}s)")
         if val_loss < record.best_val:
             record.best_val = val_loss
             record.best_epoch = epoch
+            record.val_rmse_1step = val_rmse1
             best_params = {k: p.data.copy() for k, p in state.params.items()}
-        record.stopped_epoch = epoch
         if epoch - record.best_epoch >= cfg.early_stop_patience:
             log(f"early stop after epoch {epoch} (best epoch {record.best_epoch})")
             break
-    if best_params is not None:
-        _assign(state, best_params)
+    for k, arr in best_params.items():
+        state.params[k].data = arr
     return state, record, stats
-
-
-def _assign(state: ModelState, arrays: dict[str, np.ndarray]) -> None:
-    for k, arr in arrays.items():
-        state.params[k].data = arr.copy()
 
 
 def run_training(cfg: TrainConfig, store: DatasetStore, run_dir) -> TrainRecord:

@@ -170,7 +170,7 @@ def test_loss_semantics():
     report("loss semantics", ok, f"unroll rel={rel:.2e} static={static}", t0)
 
 
-def test_optimizer_protocol():
+def test_optimizer_protocol(scripted_train):
     t0 = time.time()
     cos_ok = (T.cosine_lr(0, 20, 4e-3) == 4e-3
               and T.cosine_lr(10, 20, 4e-3) == pytest.approx(2e-3)
@@ -179,15 +179,10 @@ def test_optimizer_protocol():
     post = float(np.sqrt((clipped["g"] ** 2).sum()))
     clip_ok = abs(norm - 0.005) < 1e-12 and abs(post - 0.001) < 1e-9
 
-    losses = [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95]
-    best, best_epoch, stopped = float("inf"), 0, 0
-    for epoch in range(1, len(losses) + 1):
-        if losses[epoch - 1] < best:
-            best, best_epoch = losses[epoch - 1], epoch
-        stopped = epoch
-        if epoch - best_epoch >= 5:
-            break
-    pat_ok = (best_epoch, stopped) == (2, 7)
+    # train() on scripted validation losses stops after epoch 7 with epoch 2's weights
+    state, record, held = scripted_train([1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.5])
+    pat_ok = ((record.best_epoch, record.stopped_epoch, len(record.epochs)) == (2, 7, 7)
+              and all(np.array_equal(p.data, held[1][k]) for k, p in state.params.items()))
     report("optimizer protocol", cos_ok and clip_ok and pat_ok,
            f"cosine={cos_ok} clip={clip_ok} patience={pat_ok}", t0)
 

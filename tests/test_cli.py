@@ -212,20 +212,50 @@ def test_train_on_truncated_year_file_exit2(cli_store, tmp_path, capsys):
 def test_path_flag_naming_a_file_exit2(cli_store, tmp_path, capsys, monkeypatch):
     from rsl import cli
     monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained"))
+    monkeypatch.setattr(cli, "write_report", lambda *a, **k: pytest.fail("reported"))
     afile = tmp_path / "a_file"
     afile.write_text("kept")
     train = ("train", "--data", str(cli_store), "--arch", "sfno", "--layers", "1",
              "--dim", "8", "--vars", "custom:3", "--train-start", "2006-01-01",
              "--train-end", "2006-01-31", "--val-start", "2006-02-01",
              "--val-end", "2006-02-28", "--epochs", "1")
-    for argv, flag in ((("gen-data", "--years", "1", "--out", str(afile)), "--out"),
-                       (("gen-data", "--years", "1", "--out", str(afile / "ds")), "--out"),
-                       (train + ("--run-dir", str(afile)), "--run-dir"),
-                       (train + ("--run-root", str(afile)), "--run-root")):
+    rid = run_id(_train_config_from(build_parser().parse_args(train), {},
+                                    DatasetStore.open(cli_store)))
+    root, sweep = tmp_path / "root", tmp_path / "sweep"
+    for taken in (root / rid, sweep / "report"):      # a file where an output goes
+        taken.parent.mkdir()
+        taken.write_text("kept")
+
+    def tree():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    before = tree()
+    for argv, named in ((("gen-data", "--years", "1", "--out", str(afile)), f"--out {afile}"),
+                        (("gen-data", "--years", "1", "--out", str(afile / "ds")),
+                         f"--out {afile / 'ds'}"),
+                        (train + ("--run-dir", str(afile)), f"--run-dir {afile}"),
+                        (train + ("--run-root", str(afile)), f"--run-root {afile}"),
+                        (train + ("--run-root", str(root)), f"--run-root {root / rid}"),
+                        (("report", "--sweep-root", str(sweep), "--out", str(afile)),
+                         f"--out {afile}"),
+                        (("report", "--sweep-root", str(sweep)),
+                         f"the default --out {sweep / 'report'}")):
         assert run_cli(*argv) == 2, argv
-        assert f"{flag} {afile}" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
-    assert afile.read_text() == "kept"
+        assert named in capsys.readouterr().err
+    monkeypatch.setenv("RSL_RUN_ROOT", str(root))
+    assert run_cli(*train) == 2
+    assert f"RSL_RUN_ROOT {root / rid}" in capsys.readouterr().err
+    assert tree() == before
+
+
+def poison(store, var, year, step):
+    """Put a NaN at `step` of the 16x8 store's `var`/`year`.bin; returns its mender."""
+    path = store / var / f"{year}.bin"
+    good = path.read_bytes()
+    a = np.frombuffer(good, "<f4").copy()
+    a[step * 16 * 8 + 5] = np.nan
+    a.tofile(path)
+    return lambda: path.write_bytes(good)
 
 
 def test_non_finite_store_values_exit2(cli_run, cli_store, tmp_path, capsys):
@@ -242,26 +272,18 @@ def test_non_finite_store_values_exit2(cli_run, cli_store, tmp_path, capsys):
     def files():
         return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
 
-    def poison(var, year, step):
-        path = store / var / f"{year}.bin"
-        good = path.read_bytes()
-        a = np.frombuffer(good, "<f4").copy()
-        a[step * 16 * 8 + 5] = np.nan
-        a.tofile(path)
-        return lambda: path.write_bytes(good)
-
     before = files()
     v00 = DatasetStore.open(store).prognostic[0]
     # the forcing of rollout step 10, then the scored window of a finite rollout
     for var, step, window in (("tisr", 10, "2007-01-03 12:00..2007-01-03 12:00"),
                               (v00, 20, "2007-01-01 00:00..2007-01-10 18:00")):
-        mend = poison(var, 2007, step)
+        mend = poison(store, var, 2007, step)
         assert run_cli(*args) == 2, var
         assert (f"the store {store} holds non-finite values of {var} in {window}"
                 in capsys.readouterr().err)
         assert files() == before
         mend()
-    poison(v00, 2006, 100)
+    poison(store, v00, 2006, 100)
     assert run_cli("train", "--data", str(store), "--arch", "sfno", "--layers", "1",
                    "--dim", "8", "--vars", "custom:3", "--train-start", "2006-01-01",
                    "--train-end", "2006-10-31", "--val-start", "2006-11-01",
@@ -270,6 +292,23 @@ def test_non_finite_store_values_exit2(cli_run, cli_store, tmp_path, capsys):
     assert (f"non-finite values of {v00} in 2006-01-01 00:00..2006-10-31 18:00"
             in capsys.readouterr().err)
     assert not (tmp_path / "r").exists()
+
+
+def test_rollout_refuses_its_scored_window_before_the_first_step(cli_run, cli_store, tmp_path,
+                                                                capsys, monkeypatch):
+    from rsl import cli
+    store, run = tmp_path / "nan_ds", tmp_path / "nan_run"
+    shutil.copytree(cli_store, store)
+    shutil.copytree(cli_run, run)
+    v00 = DatasetStore.open(store).prognostic[0]
+    poison(store, v00, 2007, 100)                   # inside a 200-step rollout
+    monkeypatch.setattr(cli, "rollout", lambda *a, **k: pytest.fail("rolled out"))
+    before = {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+    assert run_cli("rollout", "--run", str(run), "--reference", str(store),
+                   "--start", "2007-01-01T00:00:00", "--steps", "200") == 2
+    assert (f"the store {store} holds non-finite values of {v00} in "
+            f"2007-01-01 00:00..2007-02-19 18:00" in capsys.readouterr().err)
+    assert {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()} == before
 
 
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):
@@ -779,6 +818,39 @@ def test_report_idempotent(cli_sweep, tmp_path):
 
 def test_report_empty_sweep_exit2(tmp_path):
     assert run_cli("report", "--sweep-root", str(tmp_path)) == 2
+
+
+def test_report_counts_unstable_seeds(cli_sweep, cli_store, tmp_path):
+    """A blown-up rollout and a failed training are non-finite seeds of their
+    configuration; a run not yet rolled out is left out of it."""
+    root = tmp_path / "root"
+    shutil.copytree(cli_sweep, root)
+    manifest = json.loads((root / "sweep.json").read_text())
+    blown, unscored = (root / e["id"] for e in manifest["runs"])     # seeds 597, 1152
+    from rsl import autodiff as ad
+    params = ad.load_checkpoint(blown / "best.ckpt")
+    params["dec.w"] = params["dec.w"] * np.float32(1e4)           # the state explodes
+    ad.save_checkpoint(params, blown / "best.ckpt")
+    assert run_cli("rollout", "--run", str(blown), "--reference", str(cli_store),
+                   "--start", "2007-06-01T00:00:00", "--steps", "160") == 0
+    assert json.loads((blown / "score.json").read_text())["finite"] is False
+    shutil.rmtree(unscored / "rollout")
+    (unscored / "score.json").unlink()
+    assert run_cli("train", "--data", str(cli_store), "--arch", "sfno", "--layers", "1",
+                   "--dim", "8", "--vars", "custom:3", "--seed", "1826", "--lr", "1e9",
+                   "--train-start", "2006-01-01", "--train-end", "2006-01-31",
+                   "--val-start", "2006-02-01", "--val-end", "2006-02-07",
+                   "--epochs", "1", "--run-root", str(root)) == 3
+    (failed,) = set(root.iterdir()) - {blown, unscored, root / "sweep.json"}
+    manifest["runs"].append({"id": failed.name, "status": "failed",
+                             "config": json.loads((failed / "config.json").read_text())})
+    (root / "sweep.json").write_text(json.dumps(manifest))
+    assert run_cli("report", "--sweep-root", str(root)) == 0
+    header, row = (root / "report" / "summary.csv").read_text().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert (cols["finite_count"], cols["n_seeds"]) == ("0", "2")
+    assert cols["score_mean"] == cols["score_std"] == "nan"
+    assert cols["per_seed"] == "597=inf|1826=inf"
 
 
 @pytest.mark.parametrize("artefact", ["score.json", "sweep.json", "means.bin",

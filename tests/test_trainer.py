@@ -259,32 +259,32 @@ def test_config_json_roundtrip():
 
 # ------------------------------------------------------------------ patience
 
-def test_early_stopping_patience_sequence():
-    """val losses {1.0, .9, .91, .92, .93, .94, .95} -> stop after epoch 7,
-    best at epoch 2 (the scripted-sequence contract)."""
-    losses = [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.5]   # 8th never reached
-    best, best_epoch, stopped = float("inf"), 0, 0
-    for epoch in range(1, len(losses) + 1):
-        val = losses[epoch - 1]
-        if val < best:
-            best, best_epoch = val, epoch
-        stopped = epoch
-        if epoch - best_epoch >= 5:
-            break
-    assert (best_epoch, stopped) == (2, 7)
+def same_weights(state, held) -> bool:
+    return state.params.keys() == held.keys() and all(
+        np.array_equal(p.data, held[k]) for k, p in state.params.items())
+
+
+def test_early_stopping_patience_sequence(scripted_train):
+    """val losses {1.0, .9, .91, .92, .93, .94, .95} -> train() stops after
+    epoch 7, before the better 8th, and returns the weights epoch 2's
+    validation saw."""
+    state, record, held = scripted_train([1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.5])
+    assert (record.best_epoch, record.stopped_epoch, len(record.epochs)) == (2, 7, 7)
+    assert record.status == "ok" and record.best_val == pytest.approx(0.9)
+    assert record.val_rmse_1step == pytest.approx(np.sqrt(0.9))
+    assert same_weights(state, held[1]) and not same_weights(state, held[6])
+
+
+def test_failure_after_a_best_epoch_returns_its_weights(scripted_train):
+    state, record, held = scripted_train([0.9, 1.0, 0.8], fail_at=(3, 1))
+    assert record.status == "failed" and record.diagnostics["reason"] == \
+        "non-finite training loss"
+    assert (record.diagnostics["epoch"], record.diagnostics["batch"]) == (3, 1)
+    assert (record.best_epoch, record.stopped_epoch, len(record.epochs)) == (1, 3, 2)
+    assert same_weights(state, held[0]) and not same_weights(state, held[1])
 
 
 # ------------------------------------------------------------------ training
-
-@pytest.fixture(scope="module")
-def micro_store(tmp_path_factory):
-    from rsl.data import SyntheticConfig, generate_synthetic_climate
-    out = tmp_path_factory.mktemp("micro") / "store"
-    return generate_synthetic_climate(
-        SyntheticConfig(seed=5, years=1, grid=make_grid(16, 8),
-                        variable_set=__import__("rsl.data", fromlist=["variable_set"]).variable_set("custom", 3)),
-        out)
-
 
 def micro_config(seed=597, epochs=2, arch="sfno"):
     spec = model_spec(arch, 1, 8, 3)
