@@ -276,6 +276,8 @@ def cmd_rollout(args) -> int:
 # ------------------------------------------------------------------ sweep
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     doc = load_config_file(args.config)
     sw = doc.get("sweep")
     if not sw:
@@ -288,6 +290,8 @@ def cmd_sweep(args) -> int:
     configs = enumerate_runs(SweepSpec.from_json(sw), _settings(doc, "model"),
                              **_settings(doc, "training"))
     root = _run_root(args)
+    for cfg in configs:                 # a file at a run directory: refused before any run
+        _run_root(args, run_id(cfg))
     manifest = run_sweep(configs, args.data, root, jobs=args.jobs,
                          log=lambda s: print(s))
     counts = {}

@@ -118,10 +118,6 @@ class ModelState:
     plan: SHTPlan | None = None
     dtype: np.dtype = np.float32
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def save(self, path) -> None:
         ad.save_checkpoint(self.params, path)
 
@@ -283,14 +279,6 @@ def _pointwise_decode(x: ad.Tensor, params: dict) -> ad.Tensor:
     return ad.transpose(y, (0, 3, 1, 2))                   # (B, K_p, H, W)
 
 
-def _sfno_forward(state: ModelState, inp: ad.Tensor) -> ad.Tensor:
-    p = state.params
-    x = _pointwise_encode(inp, p)
-    for i in range(state.spec.n_layers):
-        x = sfno_block(x, p, f"blk{i}", state.spec, state.plan)
-    return _pointwise_decode(x, p)
-
-
 # ------------------------------------------------------------------- fcn/afno
 
 def _afno_mode_mask(spec: ModelSpec, hh: int, ww: int) -> np.ndarray | None:
@@ -338,16 +326,6 @@ def afno_block(x: ad.Tensor, params: dict, prefix: str, spec: ModelSpec) -> ad.T
     x = ad.add(x, ad.transpose(y, (0, 2, 3, 1)))
     x = ad.add(x, _mlp(_ln(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp"))
     return x
-
-
-def _fcn_forward(state: ModelState, inp: ad.Tensor) -> ad.Tensor:
-    p = state.params
-    x = _pointwise_encode(inp, p)
-    if state.spec.use_pos_embed:
-        x = ad.add(x, p["pos"])
-    for i in range(state.spec.n_layers):
-        x = afno_block(x, p, f"blk{i}", state.spec)
-    return _pointwise_decode(x, p)
 
 
 # ------------------------------------------------------------------- climax
@@ -420,46 +398,49 @@ def climax_decode(tokens: ad.Tensor, params: dict, spec: ModelSpec,
     return _unpatchify(y, spec.n_prognostic, grid.n_lat, grid.n_lon, ph, pw)
 
 
-def _climax_forward(state: ModelState, inp: ad.Tensor) -> ad.Tensor:
-    p, spec = state.params, state.spec
-    x = climax_encode(inp, p, spec)
-    if spec.use_pos_embed:
-        x = ad.add(x, p["pos"])
-    for i in range(spec.n_layers):
-        x = ad.add(x, _attention(_ln(x, p, f"blk{i}.ln1"), p, f"blk{i}.attn", spec.n_heads))
-        x = ad.add(x, _mlp(_ln(x, p, f"blk{i}.ln2"), p, f"blk{i}.mlp"))
-    return climax_decode(x, p, spec, state.grid)
-
-
 # ------------------------------------------------------------------- forward
-
-_FORWARDS = {"sfno": _sfno_forward, "fcn": _fcn_forward, "climax": _climax_forward}
-
 
 def model_forward_t(state: ModelState, x: ad.Tensor, f: ad.Tensor,
                     c: ad.Tensor) -> ad.Tensor:
-    """Differentiable increment: inputs (B, K_*, H, W) -> (B, K_p, H, W).
-
-    Constants may be passed unbatched as (K_c, H, W)."""
-    if c.data.ndim == 3:
-        c = ad.Tensor(np.broadcast_to(c.data, (x.shape[0],) + c.shape))
+    """Differentiable increment (B, K_p, H, W) of X (B, K_p, H, W), F (B, K_f, H, W)
+    and the constants, unbatched as (K_c, H, W): the stages of _param_shapes, in order."""
+    spec, p = state.spec, state.params
+    c = ad.Tensor(np.broadcast_to(c.data, (x.shape[0],) + c.shape))
     inp = ad.concat([x, f, c], axis=1)
-    return _FORWARDS[state.spec.arch](state, inp)
+    if spec.arch == "climax":
+        h = climax_encode(inp, p, spec)
+    else:
+        h = _pointwise_encode(inp, p)
+    if spec.use_pos_embed:                                 # never set for sfno
+        h = ad.add(h, p["pos"])
+    for i in range(spec.n_layers):
+        if spec.arch == "sfno":
+            h = sfno_block(h, p, f"blk{i}", spec, state.plan)
+        elif spec.arch == "fcn":
+            h = afno_block(h, p, f"blk{i}", spec)
+        else:
+            h = ad.add(h, _attention(_ln(h, p, f"blk{i}.ln1"), p, f"blk{i}.attn", spec.n_heads))
+            h = ad.add(h, _mlp(_ln(h, p, f"blk{i}.ln2"), p, f"blk{i}.mlp"))
+    if spec.arch == "climax":
+        return climax_decode(h, p, spec, state.grid)
+    return _pointwise_decode(h, p)
 
 
 def model_forward(state: ModelState, x: np.ndarray, f: np.ndarray,
                   c: np.ndarray) -> np.ndarray:
-    """Increment in normalized units for a single sample or a batch."""
+    """Increment in normalized units for a single sample or a batch of X and
+    F; the constants are unbatched (K_c, H, W) either way."""
     x, f, c = (np.asarray(a, dtype=state.dtype) for a in (x, f, c))
     squeeze = x.ndim == 3
     if squeeze:
         x, f = x[None], f[None]
-    for name, a in (("X", x), ("F", f), ("C", c)):
+    spec, batch = state.spec, (x.shape[0],)
+    for name, a, lead in (("X", x, batch + (spec.n_prognostic,)),
+                          ("F", f, batch + (spec.n_forcing,)), ("C", c, (spec.n_constant,))):
         if not np.all(np.isfinite(a)):
             raise NonFiniteError(f"non-finite values in model input {name}")
-    expect = (x.shape[0], state.spec.n_prognostic) + state.grid.shape
-    if x.shape != expect:
-        raise ShapeError(f"X shape {x.shape}, expected {expect}")
+        if a.shape != lead + state.grid.shape:
+            raise ShapeError(f"{name} shape {a.shape}, expected {lead + state.grid.shape}")
     with ad.no_grad():
         out = model_forward_t(state, ad.Tensor(x), ad.Tensor(f), ad.Tensor(c))
     return out.data[0] if squeeze else out.data

@@ -175,9 +175,9 @@ def write_report(sweep_root, out_dir, reference: DatasetStore | None = None,
                  svg: bool = False) -> dict:
     """Emit summary.csv plus per-run timeseries (and maps when a reference
     store is given) under out_dir."""
+    rows = collect_summary(sweep_root)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = collect_summary(sweep_root)
     write_summary_csv(rows, out_dir / "summary.csv")
     n_ts = n_maps = 0
     for r in rows:

@@ -229,8 +229,8 @@ def cosine_lr(epoch: int, epochs_total: int, lr_init: float) -> float:
     return lr_init * 0.5 * (1.0 + np.cos(np.pi * epoch / epochs_total))
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float = REPLICATION_CLIP
-                   ) -> tuple[dict[str, np.ndarray], float]:
+def clip_grad_norm(grads: dict[str, np.ndarray],
+                   max_norm: float) -> tuple[dict[str, np.ndarray], float]:
     """Scale all gradients so their global L2 norm is at most max_norm. A
     non-finite norm comes back with the gradients unscaled."""
     total = 0.0
@@ -396,12 +396,14 @@ def enumerate_runs(sweep: SweepSpec, model_fields: dict | None = None,
     """Cartesian product of the grid, in deterministic order. Every run's
     model spec takes `model_fields` and its TrainConfig `training`; what
     they leave unset is the dataclass default. A model field that one of the
-    architectures does not read, and an axis that names one value twice (one
-    run twice), are ConfigErrors."""
+    architectures does not read, an empty axis (no run) and an axis that names
+    one value twice (one run twice) are ConfigErrors."""
     model_fields = model_fields or {}
     spelled = dict(vars(sweep), variable_sets=[
         spell_variable_set(parse_variable_set(v)) for v in sweep.variable_sets])
     for axis, values in spelled.items():
+        if not values:
+            raise ConfigError(f"sweep axis {axis!r} is empty, so the sweep has no run")
         if len(set(values)) < len(values):
             raise ConfigError(f"sweep axis {axis!r} names one value twice in "
                               f"{getattr(sweep, axis)}, which would train one run twice")
@@ -435,8 +437,9 @@ def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> tuple[str, st
 
 def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
               log=lambda s: None) -> dict:
-    """Execute every run as share-nothing workers; resumable. Every config is
-    checked against the store before the first run starts."""
+    """Execute every run as share-nothing workers, at most `jobs` at once and
+    no more than there are runs to do; resumable. Every config is checked
+    against the store before the first run starts."""
     store = DatasetStore.open(store_dir)
     for cfg in configs:
         check_store(cfg, store)
@@ -457,12 +460,13 @@ def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
         statuses[rid] = status
         log(f"run {rid}: {status}" + (f"\n{trace}" if trace else ""))
 
-    if jobs <= 1:
+    workers = min(jobs, len(todo))
+    if workers <= 1:
         for cfg in todo:
             rid = run_id(cfg)
             done(rid, *_sweep_worker(cfg.to_json(), str(store_dir), str(root / rid)))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = {run_id(cfg): pool.submit(_sweep_worker, cfg.to_json(), str(store_dir),
                                              str(root / run_id(cfg))) for cfg in todo}
             for rid, fut in futs.items():

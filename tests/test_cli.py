@@ -213,6 +213,7 @@ def test_path_flag_naming_a_file_exit2(cli_store, tmp_path, capsys, monkeypatch)
     from rsl import cli
     monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained"))
     monkeypatch.setattr(cli, "write_report", lambda *a, **k: pytest.fail("reported"))
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("swept"))
     afile = tmp_path / "a_file"
     afile.write_text("kept")
     train = ("train", "--data", str(cli_store), "--arch", "sfno", "--layers", "1",
@@ -221,6 +222,11 @@ def test_path_flag_naming_a_file_exit2(cli_store, tmp_path, capsys, monkeypatch)
              "--val-end", "2006-02-28", "--epochs", "1")
     rid = run_id(_train_config_from(build_parser().parse_args(train), {},
                                     DatasetStore.open(cli_store)))
+    config = tmp_path / "sweep.json"          # a 2-run sweep whose seed-597 run is rid
+    config.write_text(json.dumps({"sweep": SWEEP_GRID, "training": {
+        "train_start": "2006-01-01", "train_end": "2006-01-31",
+        "val_start": "2006-02-01", "val_end": "2006-02-28", "epochs": 1}}))
+    sweep_run = ("sweep", "--config", str(config), "--data", str(cli_store))
     root, sweep = tmp_path / "root", tmp_path / "sweep"
     for taken in (root / rid, sweep / "report"):      # a file where an output goes
         taken.parent.mkdir()
@@ -236,6 +242,7 @@ def test_path_flag_naming_a_file_exit2(cli_store, tmp_path, capsys, monkeypatch)
                         (train + ("--run-dir", str(afile)), f"--run-dir {afile}"),
                         (train + ("--run-root", str(afile)), f"--run-root {afile}"),
                         (train + ("--run-root", str(root)), f"--run-root {root / rid}"),
+                        (sweep_run + ("--run-root", str(root)), f"--run-root {root / rid}"),
                         (("report", "--sweep-root", str(sweep), "--out", str(afile)),
                          f"--out {afile}"),
                         (("report", "--sweep-root", str(sweep)),
@@ -243,8 +250,9 @@ def test_path_flag_naming_a_file_exit2(cli_store, tmp_path, capsys, monkeypatch)
         assert run_cli(*argv) == 2, argv
         assert named in capsys.readouterr().err
     monkeypatch.setenv("RSL_RUN_ROOT", str(root))
-    assert run_cli(*train) == 2
-    assert f"RSL_RUN_ROOT {root / rid}" in capsys.readouterr().err
+    for argv in (train, sweep_run):
+        assert run_cli(*argv) == 2, argv
+        assert f"RSL_RUN_ROOT {root / rid}" in capsys.readouterr().err
     assert tree() == before
 
 
@@ -741,6 +749,27 @@ def test_sweep_naming_one_run_twice_exit2(cli_store, tmp_path, capsys, axis, val
     assert not (tmp_path / "root").exists()
 
 
+@pytest.mark.parametrize("axis", ["seeds", "archs"])
+def test_sweep_empty_axis_exit2(cli_store, tmp_path, capsys, axis):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, **{axis: []}),
+                               "training": SHORT_TRAINING}))
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(tmp_path / "root")) == 2
+    assert f"sweep axis {axis!r} is empty" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit2(cli_store, tmp_path, capsys, jobs):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": SWEEP_GRID, "training": SHORT_TRAINING}))
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(tmp_path / "root"), "--jobs", jobs) == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()
+
+
 def test_sweep_model_key_an_architecture_does_not_read_exit2(cli_store, tmp_path,
                                                               capsys):
     cfg = tmp_path / "sweep.json"
@@ -816,8 +845,14 @@ def test_report_idempotent(cli_sweep, tmp_path):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
 
-def test_report_empty_sweep_exit2(tmp_path):
-    assert run_cli("report", "--sweep-root", str(tmp_path)) == 2
+def test_report_empty_sweep_exit2(tmp_path, capsys):
+    # no sweep.json, then one that lists no runs: refused before report/ is made
+    for manifest, named in ((None, "no sweep.json"), ({"runs": []}, "lists no runs")):
+        if manifest is not None:
+            (tmp_path / "sweep.json").write_text(json.dumps(manifest))
+        assert run_cli("report", "--sweep-root", str(tmp_path)) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
 
 def test_report_counts_unstable_seeds(cli_sweep, cli_store, tmp_path):

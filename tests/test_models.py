@@ -5,7 +5,7 @@ import pytest
 
 from rsl import autodiff as ad
 from rsl import train as T
-from rsl.errors import ConfigError, NonFiniteError
+from rsl.errors import ConfigError, NonFiniteError, ShapeError
 from rsl.grid import area_weights, make_grid
 from rsl.models import (ModelSpec, afno_block, build_model, climax_encode,
                         model_forward, model_forward_t, model_spec, sfno_block)
@@ -53,7 +53,7 @@ def test_n_parameters_closed_form_sfno():
               + L * (2 * (lmax + 1) * d * d + 2 * d
                      + d * hid + hid + hid * d + d)
               + d * kp + kp)
-    assert build_model(spec, GRID, seed=0).n_parameters == expect
+    assert sum(p.size for p in build_model(spec, GRID, seed=0).params.values()) == expect
 
 
 def test_n_parameters_closed_form_fcn():
@@ -66,7 +66,7 @@ def test_n_parameters_closed_form_fcn():
               + L * (2 * d + 4 * nb * bs * bs + 2 * d
                      + d * hid + hid + hid * d + d)
               + d * kp + kp)
-    assert build_model(spec, GRID, seed=0).n_parameters == expect
+    assert sum(p.size for p in build_model(spec, GRID, seed=0).params.values()) == expect
 
 
 def test_n_parameters_closed_form_climax():
@@ -83,7 +83,7 @@ def test_n_parameters_closed_form_climax():
               + L * (2 * d + 4 * (d * d + d) + 2 * d
                      + d * hid + hid + hid * d + d)
               + d * d + d + d * pp * kp + pp * kp)      # decoder
-    assert build_model(spec, GRID, seed=0).n_parameters == expect
+    assert sum(p.size for p in build_model(spec, GRID, seed=0).params.values()) == expect
 
 
 @pytest.mark.parametrize("arch, fields", [
@@ -256,6 +256,16 @@ def test_forward_rejects_nonfinite():
     x[0, 0, 0, 0] = np.nan
     with pytest.raises(NonFiniteError):
         model_forward(st, x, f, c)
+
+
+def test_forward_rejects_inputs_of_another_shape():
+    # The constants are unbatched (K_c, H, W) even for a batch of X and F.
+    st = build_model(toy_spec("fcn"), GRID, seed=1)
+    x, f, c = toy_inputs()
+    for name, args in (("X", (x[:, :1], f, c)), ("F", (x, f[:1], c)),
+                       ("C", (x, f, np.broadcast_to(c, (2,) + c.shape)))):
+        with pytest.raises(ShapeError, match=f"{name} shape"):
+            model_forward(st, *args)
 
 
 def test_climax_token_count_paper_grid():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from concurrent.futures import Future
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,6 +409,43 @@ def test_parallel_sweep_matches_serial(micro_store, tmp_path):
     for r in manifests[0]["runs"]:
         assert (tmp_path / "1" / r["id"] / "best.ckpt").read_bytes() == \
             (tmp_path / "2" / r["id"] / "best.ckpt").read_bytes()
+
+
+def test_sweep_pool_holds_no_more_workers_than_runs_to_do(micro_store, tmp_path,
+                                                          monkeypatch):
+    # A fork pool starts all its workers at the first submit, so --jobs 64 on
+    # three runs must not ask for 64. The fake pool runs each submit inline.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(T, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(T, "_sweep_worker", lambda cfg_json, store_dir, run_dir: ("ok", ""))
+    sweep = T.SweepSpec(archs=["sfno"], variable_sets=["custom:3"],
+                        m_steps=[1], layers=[1], dims=[8], seeds=[597, 1152, 1826])
+    configs = T.enumerate_runs(sweep, **MICRO_TRAINING)
+    root = tmp_path / "sweep"
+    for n_done in range(3):            # a resumed sweep skips the runs with a record
+        if n_done:
+            done = root / T.run_id(configs[n_done - 1])
+            done.mkdir()
+            (done / "record.json").write_text('{"status": "ok"}')
+        manifest = T.run_sweep(configs, micro_store.root, root, jobs=64)
+        assert [r["status"] for r in manifest["runs"]] == ["ok"] * 3
+    assert sizes == [3, 2]              # the last run left runs in this process
 
 
 def test_spellings_of_one_experiment_share_its_run_id():
