@@ -14,7 +14,8 @@ config.json. `rsl gen-data` resolves its settings the same way, and
 SyntheticConfig's field defaults are its defaults. A manifest.json,
 config.json, stats.json, record.json, sweep.json, score.json, meta.json or
 means.bin this version cannot read (truncated, or written with other keys)
-exits 2, naming the file.
+exits 2, naming the file, and so does a path flag that names a missing path
+or one of the wrong kind (a file for a directory, or the reverse).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .data import (STEP, DatasetStore, NormalizationStats, SyntheticConfig,
 from .errors import ConfigError, check_type
 from .evaluate import climatology_baseline, rollout, stability_score
 from .grid import area_weights, make_grid
-from .models import ARCHS, ModelSpec, build_model
+from .models import ARCHS, ModelSpec, build_model, check_patch
 from .reports import write_report
 from .train import (SweepSpec, TrainConfig, check_variables, enumerate_runs,
                     run_id, run_sweep, run_training)
@@ -220,6 +221,7 @@ def cmd_rollout(args) -> int:
     train_store = DatasetStore.open(args.data) if args.data else reference
     for store in (reference, train_store):
         check_variables(cfg, store)
+    check_patch(cfg.model, reference.grid)
 
     t_start, t_end = cfg.windows["train"]
     start = parse_timestamp(args.start, "--start") if args.start \
@@ -390,10 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

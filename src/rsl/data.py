@@ -235,9 +235,12 @@ class DatasetStore:
         self.start = parse_timestamp(axis["start"])
         self.n_steps = int(axis["n_steps"])
         v = manifest["variables"]
-        self.prognostic = tuple(v["prognostic"])
-        self.constants = tuple(v["constants"])
-        self.forcings = tuple(v["forcings"])
+        self.varset = VariableSet(v["set_name"], tuple(v["prognostic"]),
+                                  tuple(v["constants"]), tuple(v["forcings"]),
+                                  tuple(v["evaluation_subset"]))
+        self.prognostic = self.varset.prognostic
+        self.constants = self.varset.constants
+        self.forcings = self.varset.forcings
         self._years = _year_chunks(self.start, self.n_steps)
         # var -> (i0, n) -> (mean, std) of the window, see window_moments
         self._moments: dict[str, dict[tuple[int, int], tuple]] = {}
@@ -299,13 +302,6 @@ class DatasetStore:
         t0, t1 = (self.start + int(i) * STEP for i in (first, last))
         return ConfigError(f"the store {self.root} holds non-finite values of {var} "
                            f"in {t0:%Y-%m-%d %H:%M}..{t1:%Y-%m-%d %H:%M}")
-
-    @property
-    def varset(self) -> VariableSet:
-        v = self.manifest["variables"]
-        return VariableSet(v.get("set_name", "custom"), tuple(v["prognostic"]),
-                           tuple(v["constants"]), tuple(v["forcings"]),
-                           tuple(v.get("evaluation_subset", DEFAULT_EVAL_SUBSET)))
 
     # -- binary IO
 

@@ -186,11 +186,18 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
     return (ndtri(u) * std).astype(dtype)
 
 
+def check_patch(spec: ModelSpec, grid: GridSpec) -> None:
+    """ConfigError unless the patches tile `grid`: the one check of a spec
+    that needs the grid."""
+    if grid.n_lat % spec.patch_size[0] != 0 or grid.n_lon % spec.patch_size[1] != 0:
+        raise ConfigError(f"model.patch {list(spec.patch_size)} (lat, lon) does not divide "
+                          f"the {grid.n_lon}x{grid.n_lat} grid")
+
+
 def build_model(spec: ModelSpec, grid: GridSpec, seed: int,
                 dtype=np.float32) -> ModelState:
     """Deterministically initialize parameters from `seed`."""
-    if grid.n_lat % spec.patch_size[0] != 0 or grid.n_lon % spec.patch_size[1] != 0:
-        raise ConfigError(f"patch size {spec.patch_size} does not divide grid {grid.shape}")
+    check_patch(spec, grid)
     plan = plan_sht(grid, spec.hard_threshold_fraction) if spec.arch == "sfno" else None
     rng = np.random.default_rng(seed)
     params: dict[str, ad.Tensor] = {}

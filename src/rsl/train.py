@@ -19,6 +19,8 @@ import operator
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .data import (STEP, DatasetStore, NormalizationStats, compute_normalization
                    sample_index, spell_variable_set)
 from .errors import ConfigError, dataclass_kwargs
 from .grid import AreaWeights, area_weighted_mean, area_weights
-from .models import (ModelSpec, ModelState, build_model, model_forward_t,
+from .models import (ModelSpec, ModelState, build_model, check_patch, model_forward_t,
                      model_spec, unread_fields)
 
 ADAM_BETA1 = 0.9
@@ -139,10 +141,12 @@ def check_variables(cfg: TrainConfig, store: DatasetStore) -> None:
 
 def check_store(cfg: TrainConfig, store: DatasetStore) -> None:
     """ConfigError unless `store` holds everything train(cfg) reads from it:
-    the variables (see check_variables) and, for each date window, its first
-    sample with that sample's M-step horizon, so that the window holds at
-    least one sample; all of the training window, which normalization reads."""
+    the variables (see check_variables), a grid the model's patches tile and,
+    for each date window, its first sample with that sample's M-step horizon,
+    so that the window holds at least one sample; all of the training window,
+    which normalization reads."""
     check_variables(cfg, store)
+    check_patch(cfg.model, store.grid)
     for w, (start, end) in cfg.windows.items():
         need = start + cfg.m_steps * STEP
         if w == "train":
@@ -424,54 +428,51 @@ def enumerate_runs(sweep: SweepSpec, model_fields: dict | None = None,
     return out
 
 
-def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> tuple[str, str]:
-    """The run's status and, for "error", the traceback of the exception that
-    ended it. An error writes no record.json, so a resumed sweep retrains the run."""
+def _sweep_worker(cfg_json: dict, store_dir: str, run_dir: str) -> str:
+    """The traceback of the exception that ended the run, or "". An error
+    writes no record.json, so a resumed sweep retrains the run."""
     try:
-        record = run_training(TrainConfig.from_json(cfg_json), DatasetStore.open(store_dir),
-                              run_dir)
+        run_training(TrainConfig.from_json(cfg_json), DatasetStore.open(store_dir), run_dir)
     except Exception:  # one run's crash never kills the sweep
-        return "error", traceback.format_exc().rstrip()
-    return record.status, ""
+        return traceback.format_exc().rstrip()
+    return ""
+
+
+def _status(run_dir: Path) -> str:
+    """The status in the run's record.json, the one record of how it ended;
+    "error" without one: the run raised, or its worker died."""
+    rec = run_dir / "record.json"
+    return read_json(rec, lambda doc: doc["status"]) if rec.exists() else "error"
 
 
 def run_sweep(configs: list[TrainConfig], store_dir, root, jobs: int = 1,
               log=lambda s: None) -> dict:
     """Execute every run as share-nothing workers, at most `jobs` at once and
     no more than there are runs to do; resumable. Every config is checked
-    against the store before the first run starts."""
+    against the store before the first run starts. A dead worker breaks the
+    pool, and every run that wrote no record.json is an "error"."""
     store = DatasetStore.open(store_dir)
     for cfg in configs:
         check_store(cfg, store)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    statuses: dict[str, str] = {}
     todo = []
     for cfg in configs:
-        rid = run_id(cfg)
-        rec_path = root / rid / "record.json"
-        if rec_path.exists():
-            statuses[rid] = read_json(rec_path, lambda doc: doc.get("status", "ok"))
-            log(f"skip {rid} (completed: {statuses[rid]})")
+        run_dir = root / run_id(cfg)
+        if (run_dir / "record.json").exists():
+            log(f"skip {run_dir.name} (completed: {_status(run_dir)})")
         else:
-            todo.append(cfg)
-
-    def done(rid: str, status: str, trace: str) -> None:
-        statuses[rid] = status
-        log(f"run {rid}: {status}" + (f"\n{trace}" if trace else ""))
-
+            todo.append((run_dir, (cfg.to_json(), str(store_dir), str(run_dir))))
     workers = min(jobs, len(todo))
-    if workers <= 1:
-        for cfg in todo:
-            rid = run_id(cfg)
-            done(rid, *_sweep_worker(cfg.to_json(), str(store_dir), str(root / rid)))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {run_id(cfg): pool.submit(_sweep_worker, cfg.to_json(), str(store_dir),
-                                             str(root / run_id(cfg))) for cfg in todo}
-            for rid, fut in futs.items():
-                done(rid, *fut.result())
-    manifest = {"runs": [{"id": run_id(c), "status": statuses[run_id(c)],
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        futs = [pool.submit(_sweep_worker, *args) if pool else None for _, args in todo]
+        for (run_dir, args), fut in zip(todo, futs):
+            try:
+                trace = fut.result() if fut else _sweep_worker(*args)
+            except BrokenProcessPool:   # a worker died; the pool fails every unfinished run
+                trace = traceback.format_exc().rstrip()
+            log(f"run {run_dir.name}: {_status(run_dir)}" + (f"\n{trace}" if trace else ""))
+    manifest = {"runs": [{"id": run_id(c), "status": _status(root / run_id(c)),
                           "config": c.to_json()} for c in configs]}
     write_json_atomic(root / "sweep.json", manifest)
     return manifest

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 from datetime import datetime
 
@@ -9,6 +10,7 @@ import pytest
 
 from rsl.cli import _SECTIONS, _calendar_steps, _train_config_from, build_parser, main
 from rsl.data import DatasetStore, SyntheticConfig
+from rsl.errors import ConfigError
 from rsl.train import run_id
 
 
@@ -254,6 +256,54 @@ def test_path_flag_naming_a_file_exit2(cli_store, tmp_path, capsys, monkeypatch)
         assert run_cli(*argv) == 2, argv
         assert f"RSL_RUN_ROOT {root / rid}" in capsys.readouterr().err
     assert tree() == before
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    ("train", "--data", "file"), ("train", "--config", "directory"),
+    ("rollout", "--reference", "file"), ("sweep", "--data", "file"),
+    ("sweep", "--config", "directory")])
+def test_path_of_the_wrong_kind_exit2(cli_store, cli_run, tmp_path, capsys,
+                                      command, flag, kind):
+    wrong = tmp_path / "wrong"
+    wrong.mkdir() if kind == "directory" else wrong.write_text("{}")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"sweep": SWEEP_GRID, "training": SHORT_TRAINING}))
+    root = tmp_path / "root"
+    flags = {"train": {"--data": cli_store, "--arch": "sfno", "--layers": "1",
+                       "--dim": "8", "--run-root": root},
+             "rollout": {"--run": cli_run, "--reference": cli_store, "--steps": "4"},
+             "sweep": {"--config": config, "--data": cli_store, "--run-root": root}}[command]
+    flags[flag] = wrong
+    assert run_cli(command, *(str(a) for kv in flags.items() for a in kv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(wrong) in err and "Traceback" not in err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("evaluation_subset", ["zzz"], "evaluation subset variables ['zzz']"),
+    ("set_name", None, "missing key 'set_name'")])
+def test_manifest_variable_set_is_checked_when_the_store_opens(cli_store, tmp_path, capsys,
+                                                               key, value, named):
+    store = tmp_path / "ds"
+    shutil.copytree(cli_store, store)
+    manifest = store / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    if value is None:
+        del doc["variables"][key]
+    else:
+        doc["variables"][key] = value
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(f"{manifest}: {named}")):
+        DatasetStore.open(store)
+    assert run_cli("train", "--data", str(store), "--arch", "sfno", "--layers", "1",
+                   "--dim", "8", "--vars", "custom:3", "--train-start", "2006-01-01",
+                   "--train-end", "2006-01-31", "--val-start", "2006-02-01",
+                   "--val-end", "2006-02-07", "--epochs", "1",
+                   "--run-root", str(tmp_path / "runs")) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and named in err
+    assert not (tmp_path / "runs").exists()
 
 
 def poison(store, var, year, step):
@@ -767,6 +817,17 @@ def test_sweep_jobs_below_one_exit2(cli_store, tmp_path, capsys, jobs):
     assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
                    "--run-root", str(tmp_path / "root"), "--jobs", jobs) == 2
     assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()
+
+
+def test_sweep_patches_that_do_not_tile_the_grid_exit2(cli_store, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": dict(SWEEP_GRID, archs=["climax"]),
+                               "model": {"patch": [3, 3]}, "training": SHORT_TRAINING}))
+    assert run_cli("sweep", "--config", str(cfg), "--data", str(cli_store),
+                   "--run-root", str(tmp_path / "root")) == 2
+    assert "model.patch [3, 3] (lat, lon) does not divide the 16x8 grid" \
+        in capsys.readouterr().err
     assert not (tmp_path / "root").exists()
 
 

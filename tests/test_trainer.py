@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 from concurrent.futures import Future
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,20 +435,80 @@ def test_sweep_pool_holds_no_more_workers_than_runs_to_do(micro_store, tmp_path,
             fut.set_result(fn(*args))
             return fut
 
+    def record_ok(run_dir):
+        Path(run_dir).mkdir(parents=True)
+        (Path(run_dir) / "record.json").write_text('{"status": "ok"}')
+
     monkeypatch.setattr(T, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(T, "_sweep_worker", lambda cfg_json, store_dir, run_dir: ("ok", ""))
+    monkeypatch.setattr(T, "_sweep_worker",
+                        lambda cfg_json, store_dir, run_dir: record_ok(run_dir) or "")
     sweep = T.SweepSpec(archs=["sfno"], variable_sets=["custom:3"],
                         m_steps=[1], layers=[1], dims=[8], seeds=[597, 1152, 1826])
     configs = T.enumerate_runs(sweep, **MICRO_TRAINING)
-    root = tmp_path / "sweep"
     for n_done in range(3):            # a resumed sweep skips the runs with a record
-        if n_done:
-            done = root / T.run_id(configs[n_done - 1])
-            done.mkdir()
-            (done / "record.json").write_text('{"status": "ok"}')
+        root = tmp_path / f"sweep{n_done}"
+        for cfg in configs[:n_done]:
+            record_ok(root / T.run_id(cfg))
         manifest = T.run_sweep(configs, micro_store.root, root, jobs=64)
         assert [r["status"] for r in manifest["runs"]] == ["ok"] * 3
     assert sizes == [3, 2]              # the last run left runs in this process
+
+
+_REAL_SWEEP_WORKER = T._sweep_worker
+
+
+def _worker_that_dies_on_seed_1152(cfg_json, store_dir, run_dir):
+    # Module level, so that the pool can pickle it by name.
+    if cfg_json["seed"] == 1152:
+        os._exit(1)
+    return _REAL_SWEEP_WORKER(cfg_json, store_dir, run_dir)
+
+
+def test_sweep_survives_a_dead_worker_and_resumes(micro_store, tmp_path, monkeypatch):
+    sweep = T.SweepSpec(archs=["sfno"], variable_sets=["custom:3"],
+                        m_steps=[1], layers=[1], dims=[8], seeds=[597, 1152, 1826])
+    configs = T.enumerate_runs(sweep, **MICRO_TRAINING)
+    ids = [T.run_id(cfg) for cfg in configs]
+    root = tmp_path / "sweep"
+    monkeypatch.setattr(T, "_sweep_worker", _worker_that_dies_on_seed_1152)
+    log = []
+    manifest = T.run_sweep(configs, micro_store.root, root, jobs=2, log=log.append)
+    assert json.loads((root / "sweep.json").read_text()) == manifest
+    assert [r["id"] for r in manifest["runs"]] == ids
+    for r in manifest["runs"]:
+        if not (root / r["id"] / "record.json").exists():
+            assert r["status"] == "error"
+    assert manifest["runs"][1]["status"] == "error"
+    assert any(line.startswith(f"run {ids[1]}: error\nTraceback")
+               and "BrokenProcessPool" in line for line in log)
+    monkeypatch.undo()
+
+    manifest = T.run_sweep(configs, micro_store.root, root, jobs=2)
+    assert [r["status"] for r in manifest["runs"]] == ["ok"] * 3
+    assert all((root / rid / "record.json").exists() for rid in ids)
+
+
+def test_sweep_refuses_a_record_without_a_status(micro_store, tmp_path, monkeypatch):
+    monkeypatch.setattr(T, "_sweep_worker", lambda *a: pytest.fail("trained"))
+    sweep = T.SweepSpec(archs=["sfno"], variable_sets=["custom:3"],
+                        m_steps=[1], layers=[1], dims=[8], seeds=[597, 1152])
+    configs = T.enumerate_runs(sweep, **MICRO_TRAINING)
+    record = tmp_path / "sweep" / T.run_id(configs[1]) / "record.json"
+    record.parent.mkdir(parents=True)
+    record.write_text("{}")
+    with pytest.raises(ConfigError, match=f"{record}: missing key 'status'"):
+        T.run_sweep(configs, micro_store.root, tmp_path / "sweep")
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [record.parent.name]
+
+
+def test_train_refuses_patches_that_do_not_tile_the_grid_before_reading(micro_store,
+                                                                         monkeypatch):
+    monkeypatch.setattr(T, "compute_normalization", lambda *a: pytest.fail("normalized"))
+    cfg = dataclasses.replace(micro_config(arch="climax"),
+                              model=model_spec("climax", 1, 8, 3, patch_size=(3, 3)))
+    with pytest.raises(ConfigError, match=r"model.patch \[3, 3\] \(lat, lon\) does not "
+                                          r"divide the 16x8 grid"):
+        T.train(cfg, micro_store)
 
 
 def test_spellings_of_one_experiment_share_its_run_id():
