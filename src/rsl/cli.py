@@ -216,12 +216,20 @@ def cmd_rollout(args) -> int:
     if not ckpt.exists():
         raise ConfigError(f"no checkpoint under {run_dir}")
     cfg = read_json(run_dir / "config.json", TrainConfig.from_json)
-    stats = read_json(run_dir / "stats.json", NormalizationStats.from_json)
     reference = DatasetStore.open(args.reference)
     train_store = DatasetStore.open(args.data) if args.data else reference
     for store in (reference, train_store):
         check_variables(cfg, store)
     check_patch(cfg.model, reference.grid)
+
+    def checked_stats(doc):
+        stats = NormalizationStats.from_json(doc)
+        held = sorted(reference.prognostic + reference.forcings)
+        if sorted(stats.values) != held:
+            raise ConfigError(f"values hold {sorted(stats.values)}, but the store "
+                              f"{reference.root} holds {held}")
+        return stats
+    stats = read_json(run_dir / "stats.json", checked_stats)
 
     t_start, t_end = cfg.windows["train"]
     start = parse_timestamp(args.start, "--start") if args.start \

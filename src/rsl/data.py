@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from .atomic import read_json, write_json_atomic
 from .errors import ConfigError, ShapeError
 from .grid import GridSpec, make_grid
-from .spectral import SHTPlan, plan_sht, sht_inverse
+from .spectral import plan_sht, sht_inverse, synthesize_random
 
 FORMAT_VERSION = "RSL-DS-1"
 STEP = timedelta(hours=6)      # the store's time axis: 00, 06, 12 and 18 UTC
@@ -130,8 +130,9 @@ def parse_timestamp(s: str, key: str = "timestamp") -> datetime:
 
 
 def range_end(end_date: datetime) -> datetime:
-    """Last 6-hourly timestamp of an inclusive date range."""
-    return end_date + timedelta(days=1) - STEP
+    """Last 6-hourly timestamp of an inclusive date range (one addition, so
+    that 9999-12-31 does not pass through year 10000)."""
+    return end_date + (timedelta(days=1) - STEP)
 
 
 def sample_index(start_date: datetime, end_date: datetime, m_steps: int = 0,
@@ -210,7 +211,14 @@ class NormalizationStats:
 
     @staticmethod
     def from_json(d: dict) -> "NormalizationStats":
+        """The stats of `d`; ConfigError naming the variable unless its mean
+        is a finite number and its std a positive finite number."""
         vals = {k: (v["mean"], v["std"]) for k, v in d["values"].items()}
+        for k, (mean, std) in vals.items():
+            if not all(type(x) in (int, float) and math.isfinite(x) for x in (mean, std)) \
+                    or std <= 0:
+                raise ConfigError(f"values.{k}: mean {mean!r} and std {std!r} must be "
+                                  f"finite numbers, the std positive")
         rng = tuple(d["range"]) if d.get("range") else None
         return NormalizationStats(vals, rng)
 
@@ -557,13 +565,13 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
         raise ConfigError("years must be >= 1")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if not 1 <= cfg.start_year <= datetime.max.year - cfg.years:
-        raise ConfigError(f"start_year must be in 1..{datetime.max.year - cfg.years} "
+    # 2: the first step's TISR window starts in the year before, and there is no year 0
+    if not 2 <= cfg.start_year <= datetime.max.year - cfg.years:
+        raise ConfigError(f"start_year must be in 2..{datetime.max.year - cfg.years} "
                           f"for {cfg.years} years, got {cfg.start_year}")
     grid = cfg.grid
     plan = plan_sht(grid)
     lb = min(BAND_LIMIT, plan.lmax)
-    mb = min(lb, plan.mmax)
     kp = cfg.variable_set.n_prognostic
     rng = np.random.default_rng(cfg.seed)
 
@@ -580,27 +588,27 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     # Per-degree target spectrum, shared by all variables so that the
     # orthogonal variable mixing preserves stationarity.
     ls = np.arange(plan.lmax + 1, dtype=np.float64)
-    sigma_l = np.where((ls >= 1) & (ls <= lb), 1.0 / (1.0 + ls) ** 1.5, 0.0)
-    mmask = np.zeros((plan.lmax + 1, plan.mmax + 1))
-    for l in range(1, lb + 1):
-        mmask[l, : min(l, mb) + 1] = 1.0
+
+    def band(amp, top):
+        """The per-degree std amp / (1 + l)^1.5 on degrees 1..top (0 elsewhere),
+        and the (l, m) entries of those degrees with m <= min(l, mmax)."""
+        sigma = np.where((ls >= 1) & (ls <= top), amp / (1.0 + ls) ** 1.5, 0.0)
+        entries = [(l, m) for l in range(1, top + 1) for m in range(min(l, plan.mmax) + 1)]
+        return (sigma, *np.array(entries).T)
+
     gamma = DAMPING
     inj = np.sqrt(1.0 - gamma * gamma)
-    phase = np.exp(-1j * np.arange(plan.mmax + 1) * 2.0 * np.pi / ROTATION_STEPS)
 
-    # Orthogonal coupling between consecutive variables.
-    if kp > 1:
-        a = np.zeros((kp, kp))
-        for i in range(kp):
-            a[i, (i + 1) % kp] = 1.0
-        qmix = expm(COUPLING * (a - a.T))
-    else:
-        qmix = np.ones((1, 1))
+    # Orthogonal coupling between consecutive variables (a[i, i + 1 mod kp] = 1);
+    # one variable has the zero generator, whose exponential is exactly [[1.]].
+    a = np.roll(np.eye(kp), 1, axis=1)
+    qmix = expm(COUPLING * (a - a.T))
 
     # The dynamics only ever touch the in-band (l, m) entries of the spectrum
     # (everything else stays exactly zero), so the state is kept as the
     # (kp, n_in_band) vector of those entries.
-    fast_l, fast_m = np.nonzero(mmask)
+    sigma_l, fast_l, fast_m = band(1.0, lb)
+    fast_phase = np.exp(-1j * fast_m * 2.0 * np.pi / ROTATION_STEPS)
     spec_shape = (kp, plan.lmax + 1, plan.mmax + 1)
 
     def band_noise(draws, sigma, l, m):
@@ -619,15 +627,9 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     # Slow interannual modes: low-degree OU with a year-scale memory. Degrees
     # l >= 1 have zero area mean, so global-mean drift diagnostics are
     # unaffected while period climatologies genuinely wander.
-    sb = min(SLOW_BAND, lb)
-    sigma_slow = np.where((ls >= 1) & (ls <= sb),
-                          SLOW_AMP / (1.0 + ls) ** 1.5, 0.0)
-    smask = np.zeros_like(mmask)
-    for l in range(1, sb + 1):
-        smask[l, : min(l, mb) + 1] = 1.0
+    sigma_slow, slow_l, slow_m = band(SLOW_AMP, min(SLOW_BAND, lb))
     gamma_slow = float(np.exp(-1.0 / (SLOW_TAU_YEARS * (timedelta(days=365.25) / STEP))))
     inj_slow = np.sqrt(1.0 - gamma_slow * gamma_slow)
-    slow_l, slow_m = np.nonzero(smask)
     slow_state = band_noise(rng.standard_normal((2,) + spec_shape), sigma_slow,
                             slow_l, slow_m)
     base = 270.0 + 30.0 * rng.random(kp)
@@ -651,34 +653,37 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
         elif name == "lon":
             cfields[name] = np.tile(grid.longitudes[None, :], (grid.n_lat, 1))
         else:
-            c, f = _random_smooth(plan, rng, lb)
+            c, f = synthesize_random(plan, rng, band=lb, decay=1.2)
             lo, hi = f.min(), f.max()
             f = (f - lo) / max(hi - lo, 1e-12)
             cfields[name] = f if name == "lsm" else 2000.0 * f
     store.write_constants(cfields)
 
+    # TISR depends only on the day of year and the hour its 6 h window starts
+    # at, so the table holds all 366 x 4 windows, row i being the window that
+    # starts at step i of a leap year, filled once per world.
+    per_day = timedelta(days=1) // STEP
+    tisr_table = np.empty((366 * per_day,) + grid.shape, dtype=np.float32)
+    for i in range(len(tisr_table)):                  # 2000 is a leap year
+        tisr_table[i] = compute_tisr(datetime(2000, 1, 1) + (i + 1) * STEP, grid)
+
     # Steps run in chunks: one RNG call (the same stream as per-step draws of
     # fast re, fast im, slow re, slow im), one synthesis and one seasonal
-    # expression per chunk; only the OU recurrence itself is per step. The
-    # chunk buffers are reused, and 32 steps keep them at a few MB. TISR
-    # depends only on the day of year and hour the 6 h window starts at, so
-    # each distinct field is computed once per world, into one table (not
-    # 1464 small arrays, which would stay behind in the heap as fragments).
+    # expression per chunk; the per-step loop holds only the OU recurrence.
+    # The chunk buffers are reused, and 32 steps keep them at a few MB.
     chunk = 32
     draws = np.empty((chunk, 2, 2) + spec_shape)       # step, fast/slow, re/im
     fast_hist = np.empty((chunk,) + state.shape, dtype=np.complex128)
     slow_hist = np.empty((chunk,) + slow_state.shape, dtype=np.complex128)
     coeffs = np.zeros((chunk,) + spec_shape, dtype=np.complex128)
-    fast_phase = phase[fast_m]
-    step_hours = STEP // timedelta(hours=1)
-    tisr_table = np.empty((366, 24 // step_hours) + grid.shape, dtype=np.float32)
-    tisr_known = np.zeros(tisr_table.shape[:2], dtype=bool)
-    doys = np.empty(chunk, dtype=np.int64)
     names = cfg.variable_set.prognostic
-    t = start
-    for year, _, count in store._years:
+    for year, first, count in store._years:
+        # The year starts at 00 UTC on 1 January: step j falls on day j // per_day,
+        # and its window starts at step j - 1, for j = 0 the year before's last.
+        days = np.arange(count) // per_day
+        windows = np.arange(-1, count - 1)
+        windows[0] = (start + (first - 1) * STEP).timetuple().tm_yday * per_day - 1
         block = np.empty((kp, count, grid.n_lat, grid.n_lon), dtype=np.float32)
-        window_days, window_hours = [], []
         for j0 in range(0, count, chunk):
             n = min(chunk, count - j0)
             rng.standard_normal(out=draws[:n])
@@ -690,35 +695,16 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
                 mixed = np.einsum("pq,qi->pi", qmix, state)
                 state = gamma * (mixed * fast_phase) + inj * fast_noise[j]
                 slow_state = gamma_slow * slow_state + inj_slow * slow_noise[j]
-                doys[j] = t.timetuple().tm_yday
-                t0 = t - STEP
-                window = (t0.timetuple().tm_yday - 1, t0.hour // step_hours)
-                if not tisr_known[window]:
-                    tisr_table[window] = compute_tisr(t, grid)
-                    tisr_known[window] = True
-                window_days.append(window[0])
-                window_hours.append(window[1])
-                t += STEP
             c = coeffs[:n]
             c[..., fast_l, fast_m] = fast_hist[:n]
             c[..., slow_l, slow_m] += slow_hist[:n]
-            # base + amp * fields + seas_amp * seasonal[doy - 1], in place
+            # base + amp * fields + seas_amp * seasonal[day], in place
             fields = sht_inverse(c, plan)                  # (n, kp, H, W)
             fields *= amp[:, None, None]
             fields += base[:, None, None]
-            fields += seas_amp[:, None, None] * seasonal[doys[:n] - 1][:, None, :, None]
+            fields += seas_amp[:, None, None] * seasonal[days[j0 : j0 + n]][:, None, :, None]
             block[:, j0 : j0 + n] = fields.swapaxes(0, 1)
         for k, name in enumerate(names):
             store.write_year(name, year, block[k])
-        store.write_year("tisr", year, tisr_table[window_days, window_hours])
+        store.write_year("tisr", year, tisr_table[windows])
     return store
-
-
-def _random_smooth(plan: SHTPlan, rng: np.random.Generator, lb: int):
-    c = np.zeros((plan.lmax + 1, plan.mmax + 1), dtype=np.complex128)
-    for l in range(lb + 1):
-        for m in range(min(l, plan.mmax) + 1):
-            re = rng.standard_normal()
-            im = 0.0 if m == 0 else rng.standard_normal()
-            c[l, m] = (re + 1j * im) / (1.0 + l) ** 1.2
-    return c, sht_inverse(c, plan)

@@ -207,18 +207,13 @@ def climatology_baseline(train_store: DatasetStore, eval_store: DatasetStore,
     return report
 
 
-def aggregate_seeds(scores: list[float], seeds: list[int] | None = None) -> dict:
+def aggregate_seeds(scores: list[float]) -> dict:
     """Mean/std over seeds with finite scores only (population std)."""
     values = [float(s) for s in scores]
-    seeds = seeds if seeds is not None else list(range(len(values)))
     finite = [v for v in values if math.isfinite(v)]
-    out = {
+    return {
         "finite_count": len(finite),
         "n_seeds": len(values),
         "mean": float(np.mean(finite)) if finite else None,
         "std": float(np.std(finite)) if finite else None,
-        "per_seed": {str(s): _json_num(v) for s, v in zip(seeds, values)},
-        "non_finite_seeds": [s for s, v in zip(seeds, values)
-                             if not math.isfinite(v)],
     }
-    return out

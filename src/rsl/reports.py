@@ -69,7 +69,7 @@ def collect_summary(sweep_root) -> list[dict]:
     rows = []
     for key in sorted(groups):
         items = sorted(groups[key])
-        agg = aggregate_seeds([s for _, s, _ in items], [sd for sd, _, _ in items])
+        agg = aggregate_seeds([s for _, s, _ in items])
         arch, vs, kp, m, layers, dim = key
         rows.append({
             "config": f"{arch}-{vs}-m{m}-l{layers}-d{dim}",

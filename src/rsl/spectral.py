@@ -129,14 +129,16 @@ def spectral_energy(coeffs: np.ndarray, plan: SHTPlan) -> float:
     return float(np.sum(np.abs(coeffs) ** 2 * d) / (4.0 * np.pi))
 
 
-def synthesize_random(plan: SHTPlan, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Random band-limited coefficients (and field) up to degree lmax_exact."""
+def synthesize_random(plan: SHTPlan, rng: np.random.Generator, band: int | None = None,
+                      decay: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Random band-limited coefficients (and field) up to degree `band`
+    (default lmax_exact), standard normal draws divided by (1 + l)^decay."""
     c = np.zeros((plan.lmax + 1, plan.mmax + 1), dtype=np.complex128)
-    for l in range(plan.lmax_exact + 1):
+    for l in range((plan.lmax_exact if band is None else band) + 1):
         for m in range(min(l, plan.mmax) + 1):
             re = rng.standard_normal()
             im = 0.0 if m == 0 else rng.standard_normal()
-            c[l, m] = re + 1j * im
+            c[l, m] = (re + 1j * im) / (1 + l) ** decay
     return c, sht_inverse(c, plan)
 
 

@@ -157,10 +157,12 @@ def test_train_replication_mode_validates(cli_store, tmp_path, capsys):
     (("train", "--patience", "0"), "early_stop_patience"),
     (("gen-data", "--seed", "-1"), "seed"),
     (("gen-data", "--start-year", "0"), "start_year"),
+    (("gen-data", "--start-year", "1", "--years", "1"), "start_year"),   # TISR from year 0
     (("gen-data", "--start-year", "9998"), "start_year"),    # ends in year 10001
     (("sweep",), "seed"),                      # the second of the grid's seeds is -1
 ], ids=["train-seed", "train-lr", "train-grad-clip", "train-patience", "gen-data-seed",
-        "gen-data-start-year-0", "gen-data-start-year-9998", "sweep-seed"])
+        "gen-data-start-year-0", "gen-data-start-year-1", "gen-data-start-year-9998",
+        "sweep-seed"])
 def test_bad_training_and_generator_values_exit2(cli_store, tmp_path, capsys, argv, key):
     command, *flags = argv
     out = tmp_path / "out"
@@ -460,10 +462,11 @@ def test_degenerate_model_value_exit2(cli_store, tmp_path, capsys, arch, key, va
     ({"val_start": "2005-12-01", "val_end": "2006-01-31"}, 1,
      "val_start..val_end 2005-12-01..2006-01-31 at M=1"),
     ({"train_end": "2008-01-31"}, 1, "train_start..train_end 2006-01-01..2008-01-31 at M=1"),
+    ({"train_end": "9999-12-31"}, 1, "train_start..train_end 2006-01-01..9999-12-31 at M=1"),
     ({"val_start": "2007-12-31", "val_end": "2007-12-31"}, 4,     # horizon ends 2008-01-01
      "val_start..val_end 2007-12-31..2007-12-31 at M=4"),
 ], ids=["bad-month", "bad-day", "val-reversed", "val-after-store", "val-before-store",
-        "train-past-store", "val-horizon-past-store"])
+        "train-past-store", "train-end-9999", "val-horizon-past-store"])
 def test_bad_date_window_exit2(cli_store, tmp_path, capsys, dates, m, named):
     training = dict(SHORT_TRAINING, **dates)
     flags = [arg for key, v in training.items() for arg in (f"--{key.replace('_', '-')}", str(v))]
@@ -479,6 +482,20 @@ def test_bad_date_window_exit2(cli_store, tmp_path, capsys, dates, m, named):
         if "M=" in named:
             assert "spans 2006-01-01 00:00..2007-12-31 18:00" in err
         assert not out.exists()      # no run directory, no sweep.json
+
+
+def test_val_end_on_the_last_representable_day_is_clipped_to_the_store(cli_store, tmp_path):
+    # datetime's last day: the val window is clipped to the store like any other
+    records = []
+    for val_end in ("2007-12-31", "9999-12-31"):
+        out = tmp_path / val_end
+        assert run_cli("train", "--data", str(cli_store), "--arch", "sfno", "--layers", "1",
+                       "--dim", "8", "--train-start", "2006-01-01", "--train-end", "2006-01-31",
+                       "--val-start", "2007-12-01", "--val-end", val_end,
+                       "--batch-size", "64", "--epochs", "1", "--run-dir", str(out)) == 0
+        record = json.loads((out / "record.json").read_text())
+        records.append((record["best_val"], record["persistence_val"]))
+    assert records[0] == records[1]
 
 
 def test_quick_start_run_id_is_pinned(small_store):
@@ -607,6 +624,29 @@ def test_rollout_of_a_run_this_version_did_not_write_exit2(cli_run, cli_store, t
     (old / "stats.json").write_text((cli_run / "stats.json").read_text()[:-10])
     assert run_cli(*args) == 2
     assert "stats.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d["values"]["v00"].update(std=-d["values"]["v00"]["std"]), "values.v00"),
+    (lambda d: d["values"]["v00"].update(std=0), "values.v00"),
+    (lambda d: d["values"]["v00"].update(mean=float("nan")), "values.v00"),
+    (lambda d: d["values"]["v00"].update(mean=True), "values.v00"),
+    (lambda d: d["values"]["v00"].update(std="x"), "values.v00"),
+    (lambda d: d["values"].pop("tisr"), "holds ['tisr', 'v00', 'v01', 'v02']"),
+], ids=["negative-std", "zero-std", "nan-mean", "bool-mean", "string-std", "no-tisr"])
+def test_rollout_refuses_stats_it_cannot_normalize_with(cli_run, cli_store, tmp_path, capsys,
+                                                         edit, named):
+    run = tmp_path / "edited_run"
+    shutil.copytree(cli_run, run)
+    doc = json.loads((run / "stats.json").read_text())
+    edit(doc)
+    (run / "stats.json").write_text(json.dumps(doc))
+    before = sorted(p.name for p in run.iterdir())
+    assert run_cli("rollout", "--run", str(run), "--reference", str(cli_store),
+                   "--steps", "20") == 2
+    err = capsys.readouterr().err
+    assert "stats.json" in err and named in err, err
+    assert sorted(p.name for p in run.iterdir()) == before     # no rollout/, no score.json
 
 
 def test_rollout_blowup_contract(cli_run, cli_store, tmp_path):

@@ -453,7 +453,7 @@ def test_out_of_range_batch_rejected(small_store):
         D.load_batch(small_store, stats, [datetime(2008, 12, 31, 18)], 2)
 
 
-# Digests of every file of two small worlds. They pin the generator's output
+# Digests of every file of three small worlds. They pin the generator's output
 # byte for byte, so a rewrite of the generator must reproduce these files
 # exactly. They were taken with numpy 2.4 (PCG64 normals, pocketfft) and
 # OpenBLAS 0.3.31 on x86-64; another numpy or BLAS build may legitimately
@@ -463,9 +463,14 @@ GOLDEN_WORLDS = {
     # band limit (10) above lmax (7)
     "w1": D.SyntheticConfig(seed=11, years=2, start_year=2007, grid=make_grid(16, 8),
                             variable_set=D.variable_set("vars8")),
-    # one prognostic variable: the coupling matrix is np.ones((1, 1))
+    # one prognostic variable: the coupling matrix is expm of the zero 1x1, [[1.]]
     "w2": D.SyntheticConfig(seed=11, years=1, start_year=2008, grid=make_grid(32, 16),
                             variable_set=D.variable_set("custom", 1)),
+    # 8x16 from 2009: mmax (4) is below the band limit (10), so it clips the
+    # orders of degrees 5..10, and the first TISR window starts at 18 UTC on
+    # day 366 of the leap year 2008
+    "w3": D.SyntheticConfig(seed=11, years=2, start_year=2009, grid=make_grid(8, 16),
+                            variable_set=D.variable_set("custom", 2)),
 }
 GOLDEN_SHA256 = {
     "w1": {
@@ -519,6 +524,24 @@ GOLDEN_SHA256 = {
             "e07e5d349caff34928cbb67457d0594d2c43c8bc8b3e6b08385bb7f09bdeaa2c",
         "v00/2008.bin":
             "2fc0750ffca82b2e2a5eeb2f0d11b0f7a8d6606875ae7e0d367da7a7f1b530d6",
+    },
+    "w3": {
+        "constants.bin":
+            "03e9974910976057a1672572dace4dedf25d8ff30db6ee845306d12018c3de10",
+        "manifest.json":
+            "b516454b95e6daae783deb8fb8273cd806a9fba1c63a1a09cba4d8ae69da07d2",
+        "tisr/2009.bin":
+            "2e16c80032641abea6edfa3bbba493bd2b407f9f04e05b704190705ad2ddc5b0",
+        "tisr/2010.bin":
+            "36fbfd49cd7c2d9b714840983fbb9fe127c0fbeadeb7fc0d04a48c8098222e1e",
+        "v00/2009.bin":
+            "846b5f6bd5866a03ed7575e231194f0821acf52c66323da6fb24a056e95b8af9",
+        "v00/2010.bin":
+            "4ae8d9da1363c22ffd387c296af6ab919795a2bf64f3d551d6acad0863f33c5a",
+        "v01/2009.bin":
+            "c33996ac72fca8ccadb1b84966d95183f06f22cb8e5ec6ee1e29a73600cdf6d2",
+        "v01/2010.bin":
+            "cc062eb4f599bb87c8785bda5d84bcb77f16ee5708e1f07a3a65cad2f8f0510b",
     },
 }
 
