@@ -232,23 +232,20 @@ def cmd_rollout(args) -> int:
     stats = read_json(run_dir / "stats.json", checked_stats)
 
     t_start, t_end = cfg.windows["train"]
-    start = parse_timestamp(args.start, "--start") if args.start \
-        else cfg.windows["val"][1] + timedelta(days=1)
+    start = parse_timestamp(args.start, "--start") if args.start else None
     for flag in ("steps", "years"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {value}")
-    from_start = f"from --start {start.isoformat()}" \
-        + ("" if args.start else " (the day after val_end)")
+    from_start = f"from --start {start.isoformat()}" if start \
+        else f"from the day after val_end {cfg.val_end}"
     try:
+        start = start or cfg.windows["val"][1] + timedelta(days=1)
         n_steps = args.steps if args.steps is not None else _calendar_steps(start, args.years)
         last = start + (n_steps - 1) * STEP
     except (OverflowError, ValueError):      # past datetime's last year
         raise ConfigError(f"a rollout {from_start} ends after {datetime.max:%Y}") from None
     i0 = reference.steps(start, last, f"a rollout of {n_steps} steps {from_start}").start
-    if train_store.grid.shape != reference.grid.shape:
-        raise ConfigError(f"the training store {args.data} and the reference "
-                          f"{args.reference} are on different grids")
     t_steps = len(train_store.steps(t_start, range_end(t_end), f"train_start..train_end "
                                     f"{t_start:%Y-%m-%d}..{t_end:%Y-%m-%d}"))
 

@@ -252,7 +252,6 @@ class DatasetStore:
         self._years = _year_chunks(self.start, self.n_steps)
         # var -> (i0, n) -> (mean, std) of the window, see window_moments
         self._moments: dict[str, dict[tuple[int, int], tuple]] = {}
-        self._const: np.ndarray | None = None
 
     # -- construction
 
@@ -326,7 +325,6 @@ class DatasetStore:
     def write_constants(self, fields: dict[str, np.ndarray]) -> None:
         arr = np.stack([fields[name] for name in self.constants])
         np.ascontiguousarray(arr, dtype="<f4").tofile(self.root / "constants.bin")
-        self._const = None
 
     def read_steps(self, var: str, indices) -> np.ndarray:
         """Steps `indices` of `var` in the caller's order, duplicates included,
@@ -410,10 +408,8 @@ class DatasetStore:
         return mu.copy(), sd.copy()
 
     def read_constants(self) -> np.ndarray:
-        if self._const is None:
-            self._const = read_array(self.root / "constants.bin",
-                                     (len(self.constants),) + self.grid.shape, "<f4")
-        return self._const
+        return read_array(self.root / "constants.bin",
+                          (len(self.constants),) + self.grid.shape, "<f4")
 
     # -- stats
 
@@ -523,18 +519,17 @@ def normalized_fields(store: DatasetStore, stats: NormalizationStats,
     return out
 
 
-def load_batch(store: DatasetStore, stats: NormalizationStats,
-               timestamps: list[datetime], m_steps: int):
-    """Normalized training tensors for a batch of initial conditions.
+def load_batch(store: DatasetStore, stats: NormalizationStats, first, m_steps: int):
+    """Normalized training tensors for a batch of samples whose initial
+    conditions are at store steps `first` (B,).
 
-    Returns (X_seq, F_seq, C): X_seq has m_steps+1 arrays (B, K_p, H, W),
-    F_seq has m_steps arrays (B, K_f, H, W), C is (K_c, H, W).
+    Returns (X_seq, F_seq): X_seq has m_steps+1 arrays (B, K_p, H, W), F_seq
+    has m_steps arrays (B, K_f, H, W).
     """
-    base = np.array([store.time_index(t) for t in timestamps])
-    steps = np.arange(m_steps + 1)[:, None] + base          # (M + 1, B)
+    steps = np.arange(m_steps + 1)[:, None] + np.asarray(first)     # (M + 1, B)
     x = normalized_fields(store, stats, store.prognostic, steps)
     f = normalized_fields(store, stats, store.forcings, steps[:-1])
-    return list(x), list(f), normalized_constants(store)
+    return list(x), list(f)
 
 
 def forcing_provider(store: DatasetStore, stats: NormalizationStats):
@@ -559,8 +554,9 @@ class SyntheticConfig:
 def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     """Band-limited stochastic dynamics on the sphere: solid-body rotation plus
     diffusion-damped spectral noise, a TISR-phased seasonal cycle, and weak
-    linear coupling between variables. Stationary in distribution across years
-    and fully determined by the seed."""
+    linear coupling between variables (none with one or two prognostic
+    variables, see qmix). Stationary in distribution across years and fully
+    determined by the seed."""
     if cfg.years < 1:
         raise ConfigError("years must be >= 1")
     if cfg.seed < 0:
@@ -599,8 +595,10 @@ def generate_synthetic_climate(cfg: SyntheticConfig, out_dir) -> DatasetStore:
     gamma = DAMPING
     inj = np.sqrt(1.0 - gamma * gamma)
 
-    # Orthogonal coupling between consecutive variables (a[i, i + 1 mod kp] = 1);
-    # one variable has the zero generator, whose exponential is exactly [[1.]].
+    # Orthogonal coupling between consecutive variables (a[i, i + 1 mod kp] = 1).
+    # With one or two variables a is symmetric, so the generator a - a.T is zero
+    # and qmix is exactly the identity: such worlds are uncoupled, and coupling
+    # them would take a new generator version.
     a = np.roll(np.eye(kp), 1, axis=1)
     qmix = expm(COUPLING * (a - a.T))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .atomic import atomic_path, write_json_atomic
 from .data import STEP, DatasetStore, NormalizationStats, VariableSet
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .grid import AreaWeights, GridSpec, area_weighted_mean
 from .models import ModelState, model_forward
 
@@ -194,7 +194,9 @@ def climatology_baseline(train_store: DatasetStore, eval_store: DatasetStore,
                          mode: str = "mean") -> ScoreReport:
     """Score the training-period temporal statistics as a constant prediction."""
     if train_store.grid.shape != eval_store.grid.shape:
-        raise ShapeError("train and eval stores are on different grids")
+        a, b = (f"{s.root} ({s.grid.n_lon}x{s.grid.n_lat})" for s in (train_store, eval_store))
+        raise ConfigError(f"the training store {a} and the scored store {b} are on "
+                          f"different grids")
     variables = tuple(varset.evaluation_subset)
     mu, sd = _reference_stats(train_store, variables, train_t0, train_steps)
     stats = RolloutStats(variables=variables, grid=train_store.grid,

@@ -29,8 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_path, read_json, write_json_atomic
 from .data import (STEP, DatasetStore, NormalizationStats, compute_normalization,
-                   load_batch, parse_date, parse_variable_set, range_end,
-                   sample_index, spell_variable_set)
+                   load_batch, normalized_constants, parse_date, parse_variable_set,
+                   range_end, sample_index, spell_variable_set)
 from .errors import ConfigError, dataclass_kwargs
 from .grid import AreaWeights, area_weighted_mean, area_weights
 from .models import (ModelSpec, ModelState, build_model, check_patch, model_forward_t,
@@ -278,13 +278,14 @@ def train(cfg: TrainConfig, store: DatasetStore,
     """Full training protocol: seeded shuffles, cosine schedule, clipping,
     Adam, patience-based early stopping, best-checkpoint restore."""
     check_store(cfg, store)
-    (t_start, t_end), (v_start, v_end) = cfg.windows.values()
-    stats = compute_normalization(store, t_start, t_end)
+    stats = compute_normalization(store, *cfg.windows["train"])
+    c = normalized_constants(store)
     weights = area_weights(store.grid)
     state = build_model(cfg.model, store.grid, cfg.seed)
+    # each window's samples, as the store step of their initial conditions
+    train_steps, val_steps = (np.array([store.time_index(t) for t in sample_index(
+        start, end, cfg.m_steps, store.end)]) for start, end in cfg.windows.values())
 
-    train_ts = sample_index(t_start, t_end, cfg.m_steps, store.end)
-    val_ts = sample_index(v_start, v_end, cfg.m_steps, store.end)
 
     record = TrainRecord(status="ok", seed=cfg.seed, val_m_steps=cfg.m_steps)
     best_params: dict[str, np.ndarray] = {}     # the best epoch's weights
@@ -294,27 +295,25 @@ def train(cfg: TrainConfig, store: DatasetStore,
         tot = pers = one = 0.0
         n = 0
         with ad.no_grad():
-            for chunk in _batched(np.arange(len(val_ts)), 256):
-                ts = [val_ts[i] for i in chunk]
-                x_seq, f_seq, c = load_batch(store, stats, ts, cfg.m_steps)
+            for steps in _batched(val_steps, 256):
+                x_seq, f_seq = load_batch(store, stats, steps, cfg.m_steps)
                 terms: list[float] = []
                 loss = multi_step_loss(state, x_seq, f_seq, c, weights, terms)
-                tot += loss.item() * len(ts)
-                one += terms[0] * len(ts)
-                pers += persistence_loss(x_seq, weights) * len(ts)
-                n += len(ts)
+                tot += loss.item() * len(steps)
+                one += terms[0] * len(steps)
+                pers += persistence_loss(x_seq, weights) * len(steps)
+                n += len(steps)
         return tot / n, pers / n, float(np.sqrt(one / n))
 
     for epoch in range(1, cfg.epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.epochs, cfg.lr)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
-        order = rng.permutation(len(train_ts))
+        order = rng.permutation(len(train_steps))
         epoch_loss = 0.0
         n_seen = 0
         t0 = time.time()
-        for b_idx, chunk in enumerate(_batched(order, cfg.batch_size)):
-            ts = [train_ts[i] for i in chunk]
-            x_seq, f_seq, c = load_batch(store, stats, ts, cfg.m_steps)
+        for b_idx, steps in enumerate(_batched(train_steps[order], cfg.batch_size)):
+            x_seq, f_seq = load_batch(store, stats, steps, cfg.m_steps)
             ad.zero_grads(state.params.values())
             loss = multi_step_loss(state, x_seq, f_seq, c, weights)
             lval = loss.item()
@@ -334,8 +333,8 @@ def train(cfg: TrainConfig, store: DatasetStore,
                 log(f"FAILED at epoch {epoch} batch {b_idx}: {reason} (loss={lval})")
                 break
             adam_step(state.params, grads, opt, lr)
-            epoch_loss += lval * len(ts)
-            n_seen += len(ts)
+            epoch_loss += lval * len(steps)
+            n_seen += len(steps)
         record.stopped_epoch = epoch
         if record.status == "failed":
             break

@@ -484,7 +484,8 @@ def test_bad_date_window_exit2(cli_store, tmp_path, capsys, dates, m, named):
         assert not out.exists()      # no run directory, no sweep.json
 
 
-def test_val_end_on_the_last_representable_day_is_clipped_to_the_store(cli_store, tmp_path):
+def test_val_end_on_the_last_representable_day_is_clipped_to_the_store(cli_store, tmp_path,
+                                                                       capsys):
     # datetime's last day: the val window is clipped to the store like any other
     records = []
     for val_end in ("2007-12-31", "9999-12-31"):
@@ -496,6 +497,15 @@ def test_val_end_on_the_last_representable_day_is_clipped_to_the_store(cli_store
         record = json.loads((out / "record.json").read_text())
         records.append((record["best_val"], record["persistence_val"]))
     assert records[0] == records[1]
+    # the default rollout start, the day after val_end, is past datetime's last day
+    files = sorted(out.iterdir())
+    capsys.readouterr()
+    assert run_cli("rollout", "--run", str(out), "--reference", str(cli_store),
+                   "--steps", "8") == 2
+    err = capsys.readouterr().err
+    assert "from the day after val_end 9999-12-31 ends after 9999" in err
+    assert "Traceback" not in err
+    assert sorted(out.iterdir()) == files
 
 
 def test_quick_start_run_id_is_pinned(small_store):

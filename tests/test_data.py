@@ -405,13 +405,13 @@ def test_load_batch_matches_slicing_oracle(small_store, monkeypatch):
     starts = D.sample_index(datetime(2006, 1, 1), datetime(2007, 12, 31), 4,
                             small_store.end)
     order = np.random.default_rng(3).permutation(len(starts))[:32]
-    ts = [starts[i] for i in order]                     # a shuffled batch of 32
+    first = [small_store.time_index(starts[i]) for i in order]   # a shuffled batch of 32
     read = small_store.read_steps
     for m_steps in (1, 2, 4):
         calls = []
         monkeypatch.setattr(small_store, "read_steps",
                             lambda v, steps: calls.append(v) or read(v, steps))
-        x_seq, f_seq, c = D.load_batch(small_store, stats, ts, m_steps)
+        x_seq, f_seq = D.load_batch(small_store, stats, first, m_steps)
         monkeypatch.undo()
         # each variable is read once per batch, whatever M is
         assert sorted(calls) == sorted(small_store.prognostic + small_store.forcings)
@@ -420,7 +420,7 @@ def test_load_batch_matches_slicing_oracle(small_store, monkeypatch):
         for seq, names in ((x_seq, small_store.prognostic), (f_seq, small_store.forcings)):
             for m, arr in enumerate(seq):
                 assert arr.dtype == np.float32 and arr.flags.c_contiguous
-                steps = [small_store.time_index(t) + m for t in ts]
+                steps = [i + m for i in first]
                 oracle = np.array([[stats.normalize(v, read(v, [i])[0]) for v in names]
                                    for i in steps], np.float32)
                 assert arr.tobytes() == oracle.tobytes()
@@ -429,14 +429,14 @@ def test_load_batch_matches_slicing_oracle(small_store, monkeypatch):
 def test_load_batch_m1_lengths(small_store):
     stats = D.compute_normalization(small_store, datetime(2006, 1, 1),
                                     datetime(2006, 12, 31))
-    x_seq, f_seq, c = D.load_batch(small_store, stats,
-                                   [datetime(2006, 2, 1)], 1)
+    x_seq, f_seq = D.load_batch(small_store, stats,
+                                [small_store.time_index(datetime(2006, 2, 1))], 1)
     assert len(x_seq) == 2 and len(f_seq) == 1
-    assert c.shape == (4,) + small_store.grid.shape
 
 
 def test_constants_normalization(small_store):
     c = D.normalized_constants(small_store)
+    assert c.shape == (4,) + small_store.grid.shape
     names = small_store.constants
     lat = c[names.index("lat")]
     lon = c[names.index("lon")]
@@ -450,7 +450,8 @@ def test_out_of_range_batch_rejected(small_store):
     stats = D.compute_normalization(small_store, datetime(2006, 1, 1),
                                     datetime(2006, 12, 31))
     with pytest.raises(ConfigError):
-        D.load_batch(small_store, stats, [datetime(2008, 12, 31, 18)], 2)
+        D.load_batch(small_store, stats,
+                     [small_store.time_index(datetime(2008, 12, 31, 18))], 2)
 
 
 # Digests of every file of three small worlds. They pin the generator's output

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rsl import evaluate as E
 from rsl.data import DatasetStore, compute_normalization, variable_set
+from rsl.errors import ConfigError
 from rsl.grid import area_weights, make_grid
 from rsl.models import ModelState, build_model, model_spec
 
@@ -273,6 +274,21 @@ def test_climatology_self_period_is_zero(scored_world):
     rep = E.climatology_baseline(store, store, stats, w, store.varset,
                                  t0, 1200, t0, 1200)
     assert rep.aggregate == 0.0
+
+
+def test_climatology_refuses_stores_on_different_grids(scored_world, tmp_path):
+    store, stats = scored_world
+    other = DatasetStore.create(tmp_path / "other", make_grid(32, 16), store.varset,
+                                datetime(2006, 1, 1), 1200)
+    t0 = datetime(2006, 1, 1)
+    grid = {store: "16x8", other: "32x16"}
+    for train_store, scored in ((other, store), (store, other)):
+        with pytest.raises(ConfigError) as exc:
+            E.climatology_baseline(train_store, scored, stats, area_weights(GRID),
+                                   store.varset, t0, 1200, t0, 1200)
+        assert str(exc.value) == (
+            f"the training store {train_store.root} ({grid[train_store]}) and the scored "
+            f"store {scored.root} ({grid[scored]}) are on different grids")
 
 
 def test_climatology_disjoint_periods_nonzero_matches_oracle(scored_world):

@@ -317,6 +317,31 @@ def test_train_determinism_bit_identical(micro_store, tmp_path):
     assert r1.to_json() == r2.to_json()
 
 
+# Digests of one small train() per architecture on the micro store at M=2: the
+# record (sorted-key JSON) and every returned weight. They pin what training
+# computes across commits, so a rewrite of how samples are addressed, batched or
+# normalized must reproduce them bit for bit. Taken with numpy 2.4 (PCG64,
+# pocketfft) and OpenBLAS 0.3.31 on x86-64; another numpy or BLAS build may
+# legitimately change the low bits, and then the digests must be retaken from
+# the old code.
+GOLDEN_TRAIN_SHA256 = {
+    "sfno": "8dc5246453f9bb3fa25b6e6038abff000cd03612cb0f2aae37a4d8b3d0c3e895",
+    "fcn": "310840d1a4da6dcae36849a0ae31b294bcfe7deea6e92917c7d5958151ca15f0",
+    "climax": "fb98546fb60dc8ce7150196e8d6a7800d709ce05d5e0e2f1a5a0279502e28c14",
+}
+
+
+@pytest.mark.parametrize("arch", sorted(GOLDEN_TRAIN_SHA256))
+def test_train_results_are_pinned(micro_store, arch):
+    cfg = dataclasses.replace(micro_config(arch=arch), m_steps=2)
+    state, record, _ = T.train(cfg, micro_store)
+    assert record.status == "ok"
+    h = hashlib.sha256(json.dumps(record.to_json(), sort_keys=True).encode())
+    for name in sorted(state.params):
+        h.update(name.encode() + np.ascontiguousarray(state.params[name].data).tobytes())
+    assert h.hexdigest() == GOLDEN_TRAIN_SHA256[arch]
+
+
 def test_train_different_seeds_differ(micro_store, tmp_path):
     T.run_training(micro_config(seed=597), micro_store, tmp_path / "a")
     T.run_training(micro_config(seed=1152), micro_store, tmp_path / "b")
